@@ -18,6 +18,8 @@ domain error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import operator
 import os
 import sys
 import tempfile
@@ -25,7 +27,7 @@ import tempfile
 import numpy as np
 
 from .core import ModelSpec, bruteforce_spectrum, energy_levels, spectrum
-from .cycle import BACKENDS, CycleSpec, run_cycle
+from .cycle import BACKENDS
 from .ensemble import thermal_state
 from .figures import figure_ids, figure_sweep
 from .sweep import SweepRecord, SweepSpec, sweep_lambda1
@@ -46,32 +48,14 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-def _record_row(r: SweepRecord) -> str:
-    return ",".join(
-        _fmt(v)
-        for v in (
-            r.lambda1,
-            r.efficiency,
-            r.eta_carnot,
-            r.work,
-            r.q_h,
-            r.q_ab,
-            r.q_bc,
-            r.q_cd,
-            r.q_da,
-            r.s_a,
-            r.s_b,
-            r.s_c,
-            r.s_d,
-        )
-    )
+# A CSV row holds the first 13 SweepRecord fields, in CSV_HEADER order.
+_csv_values = operator.attrgetter(*(f.name for f in dataclasses.fields(SweepRecord)[:13]))
+_csv_row = ",".join(["{:.12g}"] * 13).format
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:
     """Sweep records as CSV text with the pinned header, LF line ends."""
-    lines = [CSV_HEADER]
-    lines.extend(_record_row(r) for r in records)
-    return "\n".join(lines) + "\n"
+    return "\n".join([CSV_HEADER, *(_csv_row(*_csv_values(r)) for r in records)]) + "\n"
 
 
 def records_to_svg(records: list[SweepRecord], title: str = "") -> str:
@@ -205,31 +189,11 @@ def _cmd_thermal(args: argparse.Namespace) -> int:
     return 0
 
 
-def _result_record(result) -> SweepRecord:
-    a, b, c, d = result.corners
-    return SweepRecord(
-        lambda1=result.spec.lambda1,
-        efficiency=result.efficiency,
-        eta_carnot=result.eta_carnot,
-        work=result.work,
-        q_h=result.q_h,
-        q_ab=result.q_ab,
-        q_bc=result.q_bc,
-        q_cd=result.q_cd,
-        q_da=result.q_da,
-        s_a=a.entropy,
-        s_b=b.entropy,
-        s_c=c.entropy,
-        s_d=d.entropy,
-        is_engine=result.is_engine,
-    )
-
-
 def _cmd_cycle(args: argparse.Namespace) -> int:
-    result = run_cycle(
-        CycleSpec(args.n, args.t_hot, args.t_cold, args.lambda1, args.lambda2, args.backend)
+    spec = SweepSpec(
+        args.n, args.t_hot, args.t_cold, args.lambda2, (args.lambda1,), args.backend
     )
-    _emit(records_to_csv([_result_record(result)]), args.out)
+    _emit(records_to_csv(sweep_lambda1(spec)), args.out)
     return 0
 
 
@@ -269,22 +233,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_figures(args: argparse.Namespace) -> int:
     if args.figure is not None:
-        spec = figure_sweep(args.figure)
-        records = sweep_lambda1(spec)
-        title = f"figure {args.figure}: " + _sweep_title(spec)
-        _dataset_outputs(records, title, args.format, args.out, default_stem=f"fig{args.figure}")
-        return 0
-    directory = args.out or "."
-    os.makedirs(directory, exist_ok=True)
-    for figure_id in figure_ids():
+        jobs = [(args.figure, args.out, f"fig{args.figure}")]
+    else:
+        directory = args.out or "."
+        os.makedirs(directory, exist_ok=True)
+        jobs = [(fid, None, os.path.join(directory, f"fig{fid}")) for fid in figure_ids()]
+    for figure_id, out, stem in jobs:
         spec = figure_sweep(figure_id)
-        records = sweep_lambda1(spec)
         title = f"figure {figure_id}: " + _sweep_title(spec)
-        stem = os.path.join(directory, f"fig{figure_id}")
-        if args.format in ("csv", "both"):
-            _emit(records_to_csv(records), stem + ".csv")
-        if args.format in ("svg", "both"):
-            _emit(records_to_svg(records, title), stem + ".svg")
+        _dataset_outputs(sweep_lambda1(spec), title, args.format, out, default_stem=stem)
     return 0
 
 

@@ -94,16 +94,22 @@ def eigenenergy(spec: ModelSpec, twice_m: int) -> float:
         If ``twice_m`` is out of range or has the wrong parity for n.
     """
     _check_twice_m(spec.n, twice_m)
-    n = spec.n
-    d = float(twice_m) - n * spec.lam
-    return d * d / (2.0 * n) - n * (1.0 + spec.lam * spec.lam) / 2.0 - 1.0
+    return _level_energy(spec.n, float(twice_m), spec.lam)
+
+
+def _level_energy(n, twice_m, lam):
+    """The ladder's one energy expression, for floats or broadcast arrays.
+
+    Every layer evaluates levels through this exact sequence of
+    operations, so a level has the same float wherever it is formed.
+    """
+    d = twice_m - n * lam
+    return d * d / (2.0 * n) - n * (1.0 + lam * lam) / 2.0 - 1.0
 
 
 def energy_levels(spec: ModelSpec) -> np.ndarray:
     """All sector energies as a vector, ordered by ascending 2M."""
-    n = spec.n
-    d = allowed_twice_m(n).astype(np.float64) - n * spec.lam
-    return d * d / (2.0 * n) - n * (1.0 + spec.lam * spec.lam) / 2.0 - 1.0
+    return _level_energy(spec.n, allowed_twice_m(spec.n).astype(np.float64), spec.lam)
 
 
 def spectrum(spec: ModelSpec) -> list[Level]:

@@ -18,11 +18,14 @@ the frozen regime drown in cancellation noise.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+
+import numpy as np
 
 from .asymptotics import integral_state
 from .core import ModelSpec
-from .ensemble import ThermalState, thermal_state
+from .ensemble import ThermalState, _check_offset, _ladder, _Ladder, _row_state
 
 __all__ = ["BACKENDS", "CycleResult", "CycleSpec", "carnot_bound", "run_cycle"]
 
@@ -92,19 +95,49 @@ def carnot_bound(t_hot: float, t_cold: float) -> float:
     return 1.0 - t_cold / t_hot
 
 
-def _integral_corner(spec: ModelSpec, temperature: float, energy_offset: float) -> ThermalState:
-    log_z, internal_energy, entropy = integral_state(spec, temperature)
-    beta = 1.0 / temperature
-    return ThermalState(
-        spec=spec,
-        temperature=temperature,
-        log_z=log_z - beta * energy_offset,
-        populations=None,
-        internal_energy=energy_offset + internal_energy,
-        entropy=entropy,
-        energy_floor=energy_offset,
-        excess_energy=internal_energy,
-    )
+def _corner_block(
+    n: int, t_hot: float, t_cold: float, lambda2: float, lambda1s, backend: str,
+    populations: bool = False,
+) -> _Ladder:
+    """All corners of the cycles sharing n, the baths and lambda2.
+
+    Row [0] is the hot bath and [1] the cold one.  Column 0 holds
+    lambda2 (corners A and D), formed once however many lambda1
+    follow, and columns 1.. hold corners B and C.  The asymptotic
+    backend evaluates each corner with one scalar integral_state call
+    and a zero floor.
+    """
+    if backend == "exact":
+        lams = np.concatenate(([lambda2], lambda1s))
+        return _ladder(n, (1.0 / t_hot, 1.0 / t_cold), lams, populations)
+    models = [ModelSpec(n, lam) for lam in (lambda2, *map(float, lambda1s))]
+    states = [[integral_state(model, t) for model in models] for t in (t_hot, t_cold)]
+    log_z, energy, entropy = ([[state[k] for state in row] for row in states] for k in range(3))
+    return _Ladder([[0.0] * len(models)] * 2, energy, entropy, log_z)
+
+
+# Cycle energetics, as floats for one cycle or arrays over lambda1.
+_Strokes = namedtuple("_Strokes", "q_ab q_bc q_cd q_da work q_h efficiency is_engine")
+
+
+def _strokes(t_hot: float, t_cold: float, entropies, excesses) -> _Strokes:
+    """Heats, work, heat intake and efficiency from corners A, B, C, D."""
+    s_a, s_b, s_c, s_d = entropies
+    x_a, x_b, x_c, x_d = excesses
+    q_ab = t_hot * (s_b - s_a)
+    q_cd = t_cold * (s_d - s_c)
+    # Corners sharing a field share their floor float, so the fixed-field
+    # heats are differences of excess energies alone.
+    q_bc = x_c - x_b
+    q_da = x_a - x_d
+    work = q_ab + q_bc + q_cd + q_da
+    q_h = q_ab + q_da
+    intake = q_h > 0.0
+    if isinstance(q_h, np.ndarray):
+        efficiency = np.divide(work, q_h, out=np.zeros(q_h.shape), where=intake)
+    else:
+        efficiency = work / q_h if intake else 0.0
+    return _Strokes(q_ab, q_bc, q_cd, q_da, work, q_h, efficiency, intake & (work > 0.0))
 
 
 def run_cycle(spec: CycleSpec, energy_offset: float = 0.0) -> CycleResult:
@@ -114,47 +147,21 @@ def run_cycle(spec: CycleSpec, energy_offset: float = 0.0) -> CycleResult:
     energies and log Z but leaves every heat, the work, and the
     efficiency unchanged bit for bit.
     """
-    model_2 = ModelSpec(spec.n, spec.lambda2)
-    model_1 = ModelSpec(spec.n, spec.lambda1)
-
-    if spec.backend == "exact":
-        corner_a = thermal_state(model_2, spec.t_hot, energy_offset)
-        corner_b = thermal_state(model_1, spec.t_hot, energy_offset)
-        corner_c = thermal_state(model_1, spec.t_cold, energy_offset)
-        corner_d = thermal_state(model_2, spec.t_cold, energy_offset)
-    else:
-        if not math.isfinite(energy_offset):
-            raise ValueError(f"energy_offset must be finite, got {energy_offset!r}")
-        corner_a = _integral_corner(model_2, spec.t_hot, energy_offset)
-        corner_b = _integral_corner(model_1, spec.t_hot, energy_offset)
-        corner_c = _integral_corner(model_1, spec.t_cold, energy_offset)
-        corner_d = _integral_corner(model_2, spec.t_cold, energy_offset)
-
-    q_ab = spec.t_hot * (corner_b.entropy - corner_a.entropy)
-    q_cd = spec.t_cold * (corner_d.entropy - corner_c.entropy)
-    # Floors agree pairwise (same field, same offset), so these terms
-    # are exactly zero here and kept only to preserve the identity
-    # U = floor + excess for corners built elsewhere.
-    q_bc = (corner_c.excess_energy - corner_b.excess_energy) + (
-        corner_c.energy_floor - corner_b.energy_floor
+    _check_offset(energy_offset)
+    block = _corner_block(
+        spec.n, spec.t_hot, spec.t_cold, spec.lambda2, (spec.lambda1,), spec.backend, True
     )
-    q_da = (corner_a.excess_energy - corner_d.excess_energy) + (
-        corner_a.energy_floor - corner_d.energy_floor
+    model_2, model_1 = ModelSpec(spec.n, spec.lambda2), ModelSpec(spec.n, spec.lambda1)
+    corners = (
+        _row_state(model_2, spec.t_hot, block, 0, 0, energy_offset),
+        _row_state(model_1, spec.t_hot, block, 0, 1, energy_offset),
+        _row_state(model_1, spec.t_cold, block, 1, 1, energy_offset),
+        _row_state(model_2, spec.t_cold, block, 1, 0, energy_offset),
     )
-
-    work = q_ab + q_bc + q_cd + q_da
-    q_h = q_ab + q_da
-    efficiency = work / q_h if q_h > 0.0 else 0.0
+    strokes = _strokes(
+        spec.t_hot, spec.t_cold, [c.entropy for c in corners], [c.excess_energy for c in corners]
+    )
     return CycleResult(
-        spec=spec,
-        corners=(corner_a, corner_b, corner_c, corner_d),
-        q_ab=q_ab,
-        q_bc=q_bc,
-        q_cd=q_cd,
-        q_da=q_da,
-        work=work,
-        q_h=q_h,
-        efficiency=efficiency,
-        eta_carnot=carnot_bound(spec.t_hot, spec.t_cold),
-        is_engine=work > 0.0 and q_h > 0.0,
+        spec, corners, *strokes[:7], eta_carnot=carnot_bound(spec.t_hot, spec.t_cold),
+        is_engine=strokes.is_engine,
     )

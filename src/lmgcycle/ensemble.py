@@ -12,16 +12,26 @@ losing it to rounding.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelSpec, allowed_twice_m, energy_levels, ground_set
+from .core import ModelSpec, _level_energy, allowed_twice_m, energy_levels, ground_set
 
 __all__ = ["POPULATION_FLUSH", "ThermalState", "log_partition_exact", "thermal_state"]
 
 # Occupations below this are flushed to exact zero before use.
 POPULATION_FLUSH = 1e-300
+_FLUSH_LOG = -math.log(POPULATION_FLUSH)
+
+# Level values one kernel chunk may hold; a block with more rows is
+# evaluated in chunks of whole rows, so memory stays bounded.
+_BLOCK_ELEMENTS = 1 << 16
+
+# Ladders with fewer levels are always summed whole: a window would
+# save less than the numpy call overhead it costs.
+_WINDOW_MIN_LEVELS = 256
 
 
 @dataclass(frozen=True)
@@ -61,6 +71,127 @@ class ThermalState:
     excess_energy: float
 
 
+# Corner results for every (beta, field) pair, indexed [beta][field]:
+# arrays for a block of rows, nested lists for a lone row and for
+# scalar corner evaluations.  log_z excludes any energy offset;
+# populations (whole ladders) are only kept on request.
+_Ladder = namedtuple("_Ladder", "floor excess entropy log_z populations", defaults=(None,))
+
+
+def _window_width(n: int, beta: float) -> int:
+    """Levels in each row's window at inverse temperature beta.
+
+    With t0 the ground 2M label (any label with |t0 - n lam| <= 1, or
+    the clipped edge n when n lam > n), completing the square gives
+    2n (E_t - E_min) >= (|t - t0| - 1)^2 - 1.  The ground weight is 1,
+    so the partition sum is >= 1 and every level with
+    |t - t0| > 1 + sqrt(2 n ln(1/POPULATION_FLUSH) / beta + 1) has a
+    population below POPULATION_FLUSH, which the full-ladder sum
+    flushes to zero anyway.  Dropping those levels therefore changes
+    nothing but the order of summation.  One extra level on each side
+    absorbs the rounding of the float energies.  beta = 0 and short
+    ladders keep every level.
+    """
+    if beta == 0.0 or n + 1 < _WINDOW_MIN_LEVELS:
+        return n + 1
+    reach = 1.0 + math.sqrt(2.0 * n * _FLUSH_LOG / beta + 1.0)
+    return min(n + 1, 2 * int(reach / 2.0) + 3)
+
+
+def _ladder(n: int, betas, lams, populations: bool = False) -> _Ladder:
+    """Thermodynamics of every (beta, field) pair of one system.
+
+    Each row evaluates the level window around its ground level with
+    the per-level arithmetic of a full-ladder sum: energies from the
+    ladder expression, weights exp(-beta E - top) with top = -beta
+    E_min, occupations below POPULATION_FLUSH flushed to zero, and
+    S = ln(sum w) + beta * excess.  The window depends on (n, beta)
+    alone and every reduction runs along the contiguous level axis of
+    its row, so a row's floats do not depend on the rest of the block.
+    """
+    lams = np.asarray(lams, dtype=np.float64)
+    widths = {_window_width(n, beta) for beta in betas}
+    if len(widths) > 1:
+        parts = [_ladder(n, (beta,), lams, populations) for beta in betas]
+        return _Ladder(*(None if c[0] is None else np.concatenate(c) for c in zip(*parts)))
+    width = widths.pop()
+    lam = lams if len(betas) == 1 else np.concatenate([lams] * len(betas))
+    start = None
+    if width <= n:
+        start = (np.rint((n + n * lam) / 2.0) - width // 2).clip(0, n + 1 - width)
+    if lam.size == 1:
+        # A lone row runs on 1-D arrays and numpy scalars, which numpy
+        # evaluates faster.
+        beta = betas[0]
+        floor, excess, total, kept = _window(n, beta, lam[0], start, width)
+    else:
+        beta = np.repeat(np.asarray(betas, dtype=np.float64), lams.size)
+        step = max(1, _BLOCK_ELEMENTS // width)
+        parts = [
+            _window(n, beta[i : i + step], lam[i : i + step],
+                    None if start is None else start[i : i + step], width)
+            for i in range(0, lam.size, step)
+        ]
+        floor, excess, total, kept = (np.concatenate(c) if len(parts) > 1 else c[0] for c in zip(*parts))
+    log_norm = np.log(total)
+    fields = (floor, excess, log_norm + beta * excess, -beta * floor + log_norm)
+    shape = (len(betas), lams.size)
+    if lam.size == 1:
+        fields = [[[value]] for value in fields]
+    else:
+        fields = np.array(fields).reshape((4,) + shape)
+    if not populations:
+        return _Ladder(*fields)
+    kept = kept.reshape(lam.size, width)
+    if start is not None:
+        full = np.zeros((lam.size, n + 1))
+        np.put_along_axis(full, start.astype(np.intp)[:, None] + np.arange(width), kept, axis=1)
+        kept = full
+    return _Ladder(*fields, populations=kept.reshape(shape + (n + 1,)))
+
+
+def _window(n: int, beta, lam, start, width: int):
+    """Floor, excess, weight sum and populations of a chunk of rows.
+
+    beta, lam and start hold one value per row, or are scalars for a
+    lone row.  start is None when the rows span the whole ladder.
+    """
+    rows = isinstance(lam, np.ndarray)
+    column = (lambda v: v[:, None]) if rows else (lambda v: v)
+    if start is None:
+        twice_m = np.arange(-n, n + 1, 2.0)
+    else:
+        twice_m = column(2.0 * start - n) + np.arange(0.0, 2.0 * width, 2.0)
+    energies = _level_energy(n, twice_m, column(lam))
+    low = energies.min(axis=-1)
+    weights = column(-beta) * energies
+    weights -= column(-beta * low)
+    np.exp(weights, out=weights)
+    total = weights.sum(axis=-1)
+    weights /= column(total)
+    weights[weights < POPULATION_FLUSH] = 0.0
+    energies -= column(low)
+    energies *= weights
+    return low, energies.sum(axis=-1), total, weights
+
+
+def _row_state(
+    spec: ModelSpec, temperature: float, block: _Ladder, i: int, j: int, energy_offset: float
+) -> ThermalState:
+    """ThermalState of row [i][j] of a block, with the offset applied."""
+    beta = 0.0 if math.isinf(temperature) else 1.0 / temperature
+    floor = float(block.floor[i][j]) + energy_offset
+    excess = float(block.excess[i][j])
+    log_z = float(block.log_z[i][j]) - beta * energy_offset
+    populations = None
+    if block.populations is not None:
+        # An owned copy, so a kept state does not pin the whole block.
+        populations = block.populations[i][j].copy()
+        populations.setflags(write=False)
+    entropy = float(block.entropy[i][j])
+    return ThermalState(spec, temperature, log_z, populations, floor + excess, entropy, floor, excess)
+
+
 def _check_beta(beta: float) -> None:
     if not (math.isfinite(beta) and beta >= 0.0):
         raise ValueError(f"beta must be finite and >= 0, got {beta!r}")
@@ -79,9 +210,7 @@ def log_partition_exact(spec: ModelSpec, beta: float, energy_offset: float = 0.0
     """
     _check_beta(beta)
     _check_offset(energy_offset)
-    logits = -beta * energy_levels(spec)
-    top = float(logits.max())
-    return top + float(np.log(np.exp(logits - top).sum())) - beta * energy_offset
+    return float(_ladder(spec.n, (beta,), (spec.lam,)).log_z[0][0]) - beta * energy_offset
 
 
 def thermal_state(spec: ModelSpec, temperature: float, energy_offset: float = 0.0) -> ThermalState:
@@ -102,17 +231,13 @@ def thermal_state(spec: ModelSpec, temperature: float, energy_offset: float = 0.
         raise ValueError(f"temperature must be >= 0, got {temperature!r}")
     _check_offset(energy_offset)
 
-    energies = energy_levels(spec)
-    floor = float(energies.min())
-
-    shifted_floor = floor + energy_offset
-
     if temperature == 0.0:
         members = ground_set(spec)
         labels = allowed_twice_m(spec.n)
         populations = np.zeros(labels.shape[0])
         populations[np.isin(labels, sorted(members))] = 1.0 / len(members)
         populations.setflags(write=False)
+        shifted_floor = float(energy_levels(spec).min()) + energy_offset
         return ThermalState(
             spec=spec,
             temperature=0.0,
@@ -125,26 +250,5 @@ def thermal_state(spec: ModelSpec, temperature: float, energy_offset: float = 0.
         )
 
     beta = 0.0 if math.isinf(temperature) else 1.0 / temperature
-    logits = -beta * energies
-    top = float(logits.max())
-    weights = np.exp(logits - top)
-    norm = float(weights.sum())
-    populations = weights / norm
-    populations[populations < POPULATION_FLUSH] = 0.0
-    populations.setflags(write=False)
-
-    occupied = populations > 0.0
-    entropy = float(-(populations[occupied] * np.log(populations[occupied])).sum())
-    excess = float(populations @ (energies - floor))
-    log_z = top + math.log(norm) - beta * energy_offset
-
-    return ThermalState(
-        spec=spec,
-        temperature=temperature,
-        log_z=log_z,
-        populations=populations,
-        internal_energy=shifted_floor + excess,
-        entropy=entropy,
-        energy_floor=shifted_floor,
-        excess_energy=excess,
-    )
+    block = _ladder(spec.n, (beta,), (spec.lam,), populations=True)
+    return _row_state(spec, temperature, block, 0, 0, energy_offset)

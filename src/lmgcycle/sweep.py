@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .cycle import BACKENDS, CycleSpec, run_cycle
+import numpy as np
+
+from .cycle import BACKENDS, CycleSpec, _corner_block, _strokes, carnot_bound
 
 __all__ = [
     "PROMINENCE_FLOOR",
@@ -73,40 +75,43 @@ class SweepRecord:
     is_engine: bool
 
 
-def sweep_lambda1(spec: SweepSpec) -> list[SweepRecord]:
-    """Run one cycle per grid point, in grid order.
+def _grid_strokes(spec, lambda1s: np.ndarray, grid: tuple[float, ...]):
+    """Corner entropies and cycle energetics at each lambda1, from one corner block.
 
-    A failure at any point is re-raised with the grid index and field
-    value prepended, so a bad grid names its own culprit.
+    A lambda1 outside [0, lambda2] raises CycleSpec's error, prefixed
+    with the grid point it belongs to (position modulo len(grid)).
     """
-    records = []
-    for index, lambda1 in enumerate(spec.lambda1_grid):
+    outside = np.flatnonzero(~((lambda1s >= 0.0) & (lambda1s <= spec.lambda2)))
+    if outside.size:
+        value, index = float(lambda1s[outside[0]]), int(outside[0]) % len(grid)
         try:
-            result = run_cycle(
-                CycleSpec(spec.n, spec.t_hot, spec.t_cold, lambda1, spec.lambda2, spec.backend)
-            )
+            CycleSpec(spec.n, spec.t_hot, spec.t_cold, value, spec.lambda2, spec.backend)
         except ValueError as err:
-            raise ValueError(f"grid index {index} (lambda1={lambda1!r}): {err}") from err
-        a, b, c, d = result.corners
-        records.append(
-            SweepRecord(
-                lambda1=lambda1,
-                efficiency=result.efficiency,
-                eta_carnot=result.eta_carnot,
-                work=result.work,
-                q_h=result.q_h,
-                q_ab=result.q_ab,
-                q_bc=result.q_bc,
-                q_cd=result.q_cd,
-                q_da=result.q_da,
-                s_a=a.entropy,
-                s_b=b.entropy,
-                s_c=c.entropy,
-                s_d=d.entropy,
-                is_engine=result.is_engine,
-            )
-        )
-    return records
+            raise ValueError(f"grid index {index} (lambda1={grid[index]!r}): {err}") from err
+    block = _corner_block(spec.n, spec.t_hot, spec.t_cold, spec.lambda2, lambda1s, spec.backend)
+    entropies, excesses = (
+        (hot[0], hot[1:], cold[1:], cold[0])
+        for hot, cold in (np.asarray(block.entropy), np.asarray(block.excess))
+    )
+    return entropies, _strokes(spec.t_hot, spec.t_cold, entropies, excesses)
+
+
+def sweep_lambda1(spec: SweepSpec) -> list[SweepRecord]:
+    """One cycle per grid point, in grid order.
+
+    Corners A and D are evaluated once for the whole sweep and B and C
+    as one block.  A grid value outside [0, lambda2] is reported with
+    its grid index and field value, so a bad grid names its own culprit.
+    """
+    grid = np.array(spec.lambda1_grid, dtype=np.float64)
+    (s_a, s_b, s_c, s_d), st = _grid_strokes(spec, grid, spec.lambda1_grid)
+    eta_carnot = carnot_bound(spec.t_hot, spec.t_cold)
+    values = (
+        grid, st.efficiency, eta_carnot, st.work, st.q_h, st.q_ab, st.q_bc, st.q_cd, st.q_da,
+        s_a, s_b, s_c, s_d, st.is_engine,
+    )
+    columns = [np.broadcast_to(value, grid.shape).tolist() for value in values]
+    return [SweepRecord(*row) for row in zip(*columns)]
 
 
 def efficiency_derivative(spec: CycleSpec, lambda1: float, h: float = DERIVATIVE_STEP) -> float:
@@ -124,8 +129,8 @@ def efficiency_derivative(spec: CycleSpec, lambda1: float, h: float = DERIVATIVE
         raise ValueError(
             f"stencil [{lambda1 - h}, {lambda1 + h}] leaves [0, {spec.lambda2}]"
         )
-    upper = run_cycle(replace(spec, lambda1=lambda1 + h)).efficiency
-    lower = run_cycle(replace(spec, lambda1=lambda1 - h)).efficiency
+    stencil = np.array([lambda1 + h, lambda1 - h])
+    upper, lower = _grid_strokes(spec, stencil, (lambda1,))[1].efficiency.tolist()
     return (upper - lower) / (2.0 * h)
 
 
@@ -134,26 +139,20 @@ def derivative_records(spec: SweepSpec, h: float = DERIVATIVE_STEP) -> list[tupl
 
     Interior points use the central stencil; a point whose stencil
     would leave [0, lambda2] falls back to the matching one-sided
-    difference, so grids that touch the domain edges stay legal.
+    difference, so grids that touch the domain edges stay legal.  All
+    stencil points are evaluated as one block.
     """
     if not (math.isfinite(h) and h > 0.0):
         raise ValueError(f"h must be finite and > 0, got {h!r}")
-
-    def eta(lambda1: float) -> float:
-        return run_cycle(
-            CycleSpec(spec.n, spec.t_hot, spec.t_cold, lambda1, spec.lambda2, spec.backend)
-        ).efficiency
-
-    out = []
-    for lambda1 in spec.lambda1_grid:
-        if lambda1 - h >= 0.0 and lambda1 + h <= spec.lambda2:
-            slope = (eta(lambda1 + h) - eta(lambda1 - h)) / (2.0 * h)
-        elif lambda1 - h < 0.0:
-            slope = (eta(lambda1 + h) - eta(lambda1)) / h
-        else:
-            slope = (eta(lambda1) - eta(lambda1 - h)) / h
-        out.append((lambda1, slope))
-    return out
+    grid = np.array(spec.lambda1_grid, dtype=np.float64)
+    central = (grid - h >= 0.0) & (grid + h <= spec.lambda2)
+    forward = ~central & (grid - h < 0.0)
+    upper = np.where(central | forward, grid + h, grid)
+    lower = np.where(forward, grid, grid - h)
+    stencil = np.concatenate((upper, lower))
+    eta = _grid_strokes(spec, stencil, spec.lambda1_grid)[1].efficiency
+    slopes = (eta[: grid.size] - eta[grid.size :]) / np.where(central, 2.0 * h, h)
+    return list(zip(spec.lambda1_grid, slopes.tolist()))
 
 
 def detect_peaks(

@@ -7,6 +7,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import lmgcycle
 from lmgcycle import CycleSpec, run_cycle
 from lmgcycle.cli import CSV_HEADER, main
 
@@ -234,10 +235,15 @@ class TestValidateVerb:
 
 class TestConsoleScript:
     def test_entry_point_runs(self):
+        # The child interpreter must find the same package as this one,
+        # also when it is imported from a source checkout.
+        source_root = os.path.dirname(os.path.dirname(os.path.abspath(lmgcycle.__file__)))
+        path = [source_root] + [p for p in [os.environ.get("PYTHONPATH")] if p]
         proc = subprocess.run(
             [sys.executable, "-m", "lmgcycle.cli", "spectrum", "--n", "2", "--lambda1", "0"],
             capture_output=True,
             text=True,
+            env=dict(os.environ, PYTHONPATH=os.pathsep.join(path)),
         )
         assert proc.returncode == 0
         assert proc.stdout.startswith("twice_m,m,energy")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmgcycle import CycleSpec, carnot_bound, run_cycle
+from lmgcycle import CycleSpec, carnot_bound, log_partition_exact, run_cycle, thermal_state
 
 # High-precision reference for the two-spin cycle at the crossing,
 # T_H = 0.6, T_C = 0.3, lambda2 = 4 (60-digit offline evaluation).
@@ -201,3 +201,27 @@ def test_second_law(n, t_hot, ratio, frac, lambda2):
     result = run_cycle(spec)
     if result.is_engine:
         assert result.efficiency <= result.eta_carnot + 1e-6
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.one_of(st.integers(min_value=1, max_value=60), st.sampled_from([300, 2001])),
+    st.floats(min_value=0.01, max_value=50.0, allow_nan=False),
+    st.floats(min_value=0.05, max_value=0.95, allow_nan=False),
+    st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+    st.sampled_from([0.0, -7.5, 31.0]),
+)
+def test_corners_are_bitwise_thermal_states(n, t_hot, ratio, frac, lambda2, offset):
+    # Cycle corners come from two-bath kernel blocks, thermal states from
+    # one-row blocks; both must produce the same floats.
+    result = run_cycle(CycleSpec(n, t_hot, t_hot * ratio, lambda2 * frac, lambda2), offset)
+    for corner in result.corners:
+        state = thermal_state(corner.spec, corner.temperature, offset)
+        assert corner.log_z == state.log_z
+        assert corner.entropy == state.entropy
+        assert corner.energy_floor == state.energy_floor
+        assert corner.excess_energy == state.excess_energy
+        assert (corner.populations == state.populations).all()
+        beta = 1.0 / corner.temperature
+        assert log_partition_exact(corner.spec, beta, offset) == corner.log_z

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lmgcycle import (
+    POPULATION_FLUSH,
     ModelSpec,
     allowed_twice_m,
     energy_levels,
@@ -159,3 +160,52 @@ def test_state_invariants(n, lam, temperature):
     assert 0.0 <= state.entropy <= math.log(n + 1) + 1e-12
     energies = energy_levels(ModelSpec(n, lam))
     assert energies.min() - 1e-9 <= state.internal_energy <= energies.max() + 1e-9
+
+
+def _full_ladder(spec, temperature):
+    """log Z, excess, entropy and populations from the whole ladder at once.
+
+    Uses the per-level arithmetic of thermal_state (weights
+    exp(-beta E - top), flushed populations, S = ln(sum w) + beta *
+    excess) but sums every level with math.fsum, so only the level
+    window and the order of summation differ.
+    """
+    beta = 0.0 if math.isinf(temperature) else 1.0 / temperature
+    energies = energy_levels(spec)
+    logits = -beta * energies
+    top = float(logits.max())
+    weights = np.exp(logits - top)
+    norm = math.fsum(weights)
+    populations = weights / norm
+    populations[populations < POPULATION_FLUSH] = 0.0
+    excess = math.fsum(populations * (energies - energies.min()))
+    log_norm = math.log(norm)
+    return top + log_norm, excess, log_norm + beta * excess, populations
+
+
+@pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
+@pytest.mark.parametrize("where", ["below", "crossing", "above"])
+def test_window_matches_full_ladder(n, where):
+    crossings = level_crossings(n)
+    lam = {"below": 0.37, "crossing": crossings[len(crossings) // 2], "above": 1.7}[where]
+    spec = ModelSpec(n, lam)
+    labels = allowed_twice_m(n)
+    # Levels the window may drop carry populations below the flush, so
+    # sums over the ladder can only differ by that much in absolute terms.
+    dropped = (n + 1) * POPULATION_FLUSH
+    for temperature in (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3, math.inf):
+        state = thermal_state(spec, temperature)
+        log_z, excess, entropy, populations = _full_ladder(spec, temperature)
+        assert state.log_z == pytest.approx(log_z, rel=1e-12, abs=dropped)
+        assert state.excess_energy == pytest.approx(excess, rel=1e-12, abs=dropped)
+        assert state.entropy == pytest.approx(entropy, rel=1e-12, abs=dropped)
+        assert abs(state.populations.sum() - 1.0) <= 1e-12
+        if math.isinf(temperature):
+            continue
+        # The window's bound: levels further than this from the ground
+        # label in 2M have populations below POPULATION_FLUSH.
+        ground = labels[int(populations.argmax())]
+        reach = 1.0 + math.sqrt(2.0 * n * math.log(1.0 / POPULATION_FLUSH) * temperature + 1.0)
+        outside = np.abs(labels - ground) > reach
+        assert (state.populations[outside] == 0.0).all()
+        assert (populations[outside] == 0.0).all()

@@ -2,7 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lmgcycle import (
     CycleSpec,
@@ -19,6 +22,7 @@ from lmgcycle import (
     run_figure,
     sweep_lambda1,
 )
+from lmgcycle.ensemble import _BLOCK_ELEMENTS
 
 
 def _flat_record(lambda1, efficiency):
@@ -71,6 +75,63 @@ class TestSweep:
         assert records[0].work == single.work
         assert records[0].q_h == single.q_h
         assert records[0].s_b == single.corners[1].entropy
+
+    @staticmethod
+    def _assert_rows_are_single_cycles(spec):
+        # Every sweep row must carry exactly the floats of a standalone
+        # cycle at its lambda1, whatever the rest of the grid is.
+        records = sweep_lambda1(spec)
+        assert [r.lambda1 for r in records] == list(spec.lambda1_grid)
+        for record in records:
+            single = run_cycle(
+                CycleSpec(spec.n, spec.t_hot, spec.t_cold, record.lambda1, spec.lambda2, spec.backend)
+            )
+            assert record.efficiency == single.efficiency
+            assert record.eta_carnot == single.eta_carnot
+            assert record.work == single.work
+            assert record.q_h == single.q_h
+            assert record.q_ab == single.q_ab
+            assert record.q_bc == single.q_bc
+            assert record.q_cd == single.q_cd
+            assert record.q_da == single.q_da
+            assert (record.s_a, record.s_b, record.s_c, record.s_d) == tuple(
+                corner.entropy for corner in single.corners
+            )
+            assert record.is_engine == single.is_engine
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=120),
+        st.floats(min_value=0.02, max_value=50.0, allow_nan=False),
+        st.floats(min_value=0.05, max_value=0.95, allow_nan=False),
+        st.floats(min_value=0.0, max_value=4.0, allow_nan=False),
+        st.lists(st.floats(min_value=0.0, max_value=1.0, allow_nan=False), min_size=1, max_size=30),
+        st.sampled_from(["exact", "asymptotic"]),
+    )
+    def test_every_row_matches_single_cycle(self, n, t_hot, ratio, lambda2, fractions, backend):
+        grid = tuple(sorted({lambda2 * f for f in fractions}))
+        self._assert_rows_are_single_cycles(
+            SweepSpec(n, t_hot, t_hot * ratio, lambda2, grid, backend)
+        )
+
+    def test_grid_longer_than_one_block_matches_single_cycles(self):
+        n = 100
+        grid = tuple(float(v) for v in np.linspace(0.0, 30.0, 1501))
+        # Hot enough that every row spans the whole ladder, so the grid
+        # fills several kernel chunks.
+        assert len(grid) > _BLOCK_ELEMENTS // (n + 1)
+        self._assert_rows_are_single_cycles(SweepSpec(n, 800.0, 500.0, 30.0, grid))
+
+    def test_windowed_large_system_matches_single_cycles(self):
+        grid = tuple(float(v) for v in np.linspace(0.0, 4.0, 9))
+        self._assert_rows_are_single_cycles(SweepSpec(20_000, 0.3, 0.2, 4.0, grid))
+
+    def test_equal_fields_and_crossings_match_single_cycles(self):
+        n = 6
+        crossings = level_crossings(n)
+        grid = tuple(sorted({0.0, *crossings, 1.5, 2.0}))
+        self._assert_rows_are_single_cycles(SweepSpec(n, 0.2, 0.1, 2.0, grid))
+        self._assert_rows_are_single_cycles(SweepSpec(n, 0.2, 0.1, crossings[1], (crossings[1],)))
 
     def test_repeat_runs_are_bit_identical(self):
         spec = SweepSpec(6, 0.3, 0.2, 2.0, tuple(i * 0.1 for i in range(21)))
@@ -161,6 +222,19 @@ class TestEfficiencyDerivative:
         cycle_spec = CycleSpec(4, 0.3, 0.15, 1.0, 2.0)
         assert pairs[1][1] == efficiency_derivative(cycle_spec, 1.0)
         assert all(math.isfinite(d) for _, d in pairs)
+
+        h = 1e-3
+        grid = tuple(float(v) for v in np.linspace(0.0, 2.0, 41))
+        pairs = derivative_records(SweepSpec(4, 0.3, 0.15, 2.0, grid), h)
+        assert [x for x, _ in pairs] == list(grid)
+
+        def eta(lambda1):
+            return run_cycle(CycleSpec(4, 0.3, 0.15, lambda1, 2.0)).efficiency
+
+        assert pairs[0][1] == (eta(h) - eta(0.0)) / h
+        assert pairs[-1][1] == (eta(2.0) - eta(2.0 - h)) / h
+        for lambda1, slope in pairs[1:-1]:
+            assert slope == efficiency_derivative(cycle_spec, lambda1, h)
 
     def test_derivative_records_reject_bad_step(self):
         spec = SweepSpec(4, 0.3, 0.15, 2.0, (0.0, 1.0, 2.0))
