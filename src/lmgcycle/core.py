@@ -97,14 +97,22 @@ def eigenenergy(spec: ModelSpec, twice_m: int) -> float:
     return _level_energy(spec.n, float(twice_m), spec.lam)
 
 
-def _level_energy(n, twice_m, lam):
+def _level_energy(n, twice_m, lam, out=None):
     """The ladder's one energy expression, for floats or broadcast arrays.
 
     Every layer evaluates levels through this exact sequence of
     operations, so a level has the same float wherever it is formed.
+    Given an array out, the same operations run in place there.
     """
-    d = twice_m - n * lam
-    return d * d / (2.0 * n) - n * (1.0 + lam * lam) / 2.0 - 1.0
+    if out is None:
+        d = twice_m - n * lam
+        return d * d / (2.0 * n) - n * (1.0 + lam * lam) / 2.0 - 1.0
+    d = np.subtract(twice_m, n * lam, out=out)
+    d *= d
+    d /= 2.0 * n
+    d -= n * (1.0 + lam * lam) / 2.0
+    d -= 1.0
+    return d
 
 
 def energy_levels(spec: ModelSpec) -> np.ndarray:

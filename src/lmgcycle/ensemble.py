@@ -12,6 +12,7 @@ losing it to rounding.
 from __future__ import annotations
 
 import math
+import threading
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -123,16 +124,18 @@ def _ladder(n: int, betas, lams, populations: bool = False) -> _Ladder:
         # A lone row runs on 1-D arrays and numpy scalars, which numpy
         # evaluates faster.
         beta = betas[0]
-        floor, excess, total, kept = _window(n, beta, lam[0], start, width)
+        floor, excess, total, kept = _window(n, beta, lam[0], start, width, populations)
     else:
         beta = np.repeat(np.asarray(betas, dtype=np.float64), lams.size)
         step = max(1, _BLOCK_ELEMENTS // width)
         parts = [
             _window(n, beta[i : i + step], lam[i : i + step],
-                    None if start is None else start[i : i + step], width)
+                    None if start is None else start[i : i + step], width, populations)
             for i in range(0, lam.size, step)
         ]
-        floor, excess, total, kept = (np.concatenate(c) if len(parts) > 1 else c[0] for c in zip(*parts))
+        floor, excess, total, kept = (
+            c[0] if len(c) == 1 or c[0] is None else np.concatenate(c) for c in zip(*parts)
+        )
     log_norm = np.log(total)
     fields = (floor, excess, log_norm + beta * excess, -beta * floor + log_norm)
     shape = (len(betas), lams.size)
@@ -150,29 +153,64 @@ def _ladder(n: int, betas, lams, populations: bool = False) -> _Ladder:
     return _Ladder(*fields, populations=kept.reshape(shape + (n + 1,)))
 
 
-def _window(n: int, beta, lam, start, width: int):
+class _Scratch(threading.local):
+    """Per-thread arrays reused by every large chunk a thread evaluates.
+
+    A sweep then forms its levels, weights and flush masks without
+    allocating and freeing a chunk's worth of memory per call.  The
+    arrays grow to the largest chunk evaluated (a row wider than
+    _BLOCK_ELEMENTS is one chunk) and keep that size.
+    """
+
+    def __init__(self):
+        self.steps = np.zeros(0)
+        self.arrays = (np.zeros(0), np.zeros(0), np.zeros(0, dtype=bool))
+
+
+_SCRATCH = _Scratch()
+
+# Chunks with fewer level values use fresh arrays, which cost less
+# than finding the reused ones.
+_SCRATCH_MIN = 1 << 12
+
+
+def _window(n: int, beta, lam, start, width: int, keep: bool):
     """Floor, excess, weight sum and populations of a chunk of rows.
 
     beta, lam and start hold one value per row, or are scalars for a
-    lone row.  start is None when the rows span the whole ladder.
+    lone row.  start is None when the rows span the whole ladder.  The
+    populations are an owned array when keep is set, and None otherwise.
     """
     rows = isinstance(lam, np.ndarray)
     column = (lambda v: v[:, None]) if rows else (lambda v: v)
-    if start is None:
-        twice_m = np.arange(-n, n + 1, 2.0)
+    size = lam.size * width if rows else width
+    if size < _SCRATCH_MIN:
+        steps, energies, weights, flushed = np.arange(0.0, 2.0 * width, 2.0), None, None, None
     else:
-        twice_m = column(2.0 * start - n) + np.arange(0.0, 2.0 * width, 2.0)
-    energies = _level_energy(n, twice_m, column(lam))
+        scratch = _SCRATCH
+        if scratch.steps.size < width:
+            scratch.steps = np.arange(0.0, 2.0 * width, 2.0)
+        if scratch.arrays[0].size < size:
+            scratch.arrays = (np.empty(size), np.empty(size), np.empty(size, dtype=bool))
+        steps = scratch.steps[:width]
+        energies, weights, flushed = (a[:size].reshape(-1, width) if rows else a[:size] for a in scratch.arrays)
+    # The 2M labels are whole numbers, so forming them in place gives
+    # the same floats as a separate label array.
+    labels = np.add(steps, float(-n) if start is None else column(2.0 * start - n), out=energies)
+    energies = _level_energy(n, labels, column(lam), out=energies)
     low = energies.min(axis=-1)
-    weights = column(-beta) * energies
+    weights = np.multiply(column(-beta), energies, out=weights)
     weights -= column(-beta * low)
     np.exp(weights, out=weights)
     total = weights.sum(axis=-1)
     weights /= column(total)
-    weights[weights < POPULATION_FLUSH] = 0.0
+    weights[np.less(weights, POPULATION_FLUSH, out=flushed)] = 0.0
     energies -= column(low)
     energies *= weights
-    return low, energies.sum(axis=-1), total, weights
+    if keep and flushed is not None:
+        # The next chunk overwrites the reused arrays.
+        weights = weights.copy()
+    return low, energies.sum(axis=-1), total, weights if keep else None
 
 
 def _row_state(

@@ -1,6 +1,7 @@
 """Canonical states: partition sums, populations, entropy, offsets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from lmgcycle import (
     spectrum,
     thermal_state,
 )
+from lmgcycle.ensemble import _BLOCK_ELEMENTS, _ladder
 
 
 class TestLogPartition:
@@ -209,3 +211,31 @@ def test_window_matches_full_ladder(n, where):
         outside = np.abs(labels - ground) > reach
         assert (state.populations[outside] == 0.0).all()
         assert (populations[outside] == 0.0).all()
+
+
+def test_block_assembles_populations_only_on_request():
+    # Sweeps never ask for populations, so a block spanning several
+    # kernel chunks returns none.  On request, each chunk's populations
+    # outlive the reused arrays the next chunk overwrites, and equal the
+    # one-row states' populations bit for bit.
+    n = 100
+    lams = np.linspace(0.0, 3.0, 2 * (_BLOCK_ELEMENTS // (n + 1)) + 1)
+    assert _ladder(n, (0.5,), lams).populations is None
+    block = _ladder(n, (0.5,), lams, populations=True)
+    for j in (0, lams.size // 2, lams.size - 1):
+        state = thermal_state(ModelSpec(n, float(lams[j])), 2.0)
+        assert (block.populations[0][j] == state.populations).all()
+
+
+def test_block_holds_one_chunk_of_populations_at_a_time():
+    # Unrequested populations are dropped chunk by chunk: the block's
+    # whole populations would take 40 chunks.
+    n = 100
+    lams = np.linspace(0.0, 3.0, 40 * (_BLOCK_ELEMENTS // (n + 1)))
+    tracemalloc.start()
+    try:
+        _ladder(n, (0.5,), lams)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 8 * _BLOCK_ELEMENTS

@@ -1,6 +1,8 @@
 """Sweeps, peak census, derivative curves, and the figure catalogue."""
 
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -132,6 +134,22 @@ class TestSweep:
         grid = tuple(sorted({0.0, *crossings, 1.5, 2.0}))
         self._assert_rows_are_single_cycles(SweepSpec(n, 0.2, 0.1, 2.0, grid))
         self._assert_rows_are_single_cycles(SweepSpec(n, 0.2, 0.1, crossings[1], (crossings[1],)))
+
+    def test_threads_match_serial_sweeps(self):
+        # Large chunks reuse per-thread arrays; sweeps running in several
+        # threads at once must still give the serial rows.
+        grid = tuple(float(v) for v in np.linspace(0.0, 3.0, 40))
+        specs = [SweepSpec(2_000, t, 0.5 * t, 3.0, grid) for t in (0.5, 1.0, 2.0, 4.0, 8.0, 16.0)]
+        expected = [sweep_lambda1(spec) for spec in specs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as pool:
+                futures = [pool.submit(sweep_lambda1, spec) for spec in specs * 4]
+                results = [future.result(timeout=120) for future in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected * 4
 
     def test_repeat_runs_are_bit_identical(self):
         spec = SweepSpec(6, 0.3, 0.2, 2.0, tuple(i * 0.1 for i in range(21)))
