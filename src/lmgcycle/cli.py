@@ -10,19 +10,18 @@ figures    regenerate one or all preset datasets
 validate   cross-check sector energies against dense diagonalization
 
 All tabular output is CSV with a fixed header; --format svg renders the
-efficiency curve instead, and --format both writes the pair.  Files are
-written atomically (temp file plus rename).  Exit codes: 0 success, 1
-domain error, 2 usage error.
+efficiency curve instead, and --format both writes the pair.  Datasets
+are formatted straight from the sweep's columns.  Files are written
+atomically (temp file plus rename), with the mode open() gives a new
+file under the umask.  Exit codes: 0 success, 1 domain error, 2 usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import operator
 import os
 import sys
-import tempfile
 
 import numpy as np
 
@@ -30,7 +29,7 @@ from .core import ModelSpec, bruteforce_spectrum, energy_levels, spectrum
 from .cycle import BACKENDS
 from .ensemble import thermal_state
 from .figures import figure_ids, figure_sweep
-from .sweep import SweepRecord, SweepSpec, sweep_lambda1
+from .sweep import SweepRecord, SweepSpec, _sweep_columns, _SweepColumns
 
 __all__ = ["CSV_HEADER", "build_parser", "main", "records_to_csv", "records_to_svg"]
 
@@ -48,14 +47,30 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
-# A CSV row holds the first 13 SweepRecord fields, in CSV_HEADER order.
-_csv_values = operator.attrgetter(*(f.name for f in dataclasses.fields(SweepRecord)[:13]))
-_csv_row = ",".join(["{:.12g}"] * 13).format
+# SweepRecord fields in CSV_HEADER order: all but the trailing is_engine.
+_CSV_FIELDS = _SweepColumns._fields[:13]
+
+
+def _csv_text(columns) -> str:
+    """CSV text from columns in SweepRecord field order; is_engine is not written.
+
+    A column is a sequence holding one value per row, or a single float
+    that every row shares and that is formatted once.
+    """
+    cells, varying = [], []
+    for column in columns[:13]:
+        if isinstance(column, float):
+            cells.append("%.12g" % column)
+        else:
+            cells.append("%.12g")
+            varying.append(column)
+    rows = map(",".join(cells).__mod__, zip(*varying))
+    return "\n".join([CSV_HEADER, *rows]) + "\n"
 
 
 def records_to_csv(records: list[SweepRecord]) -> str:
     """Sweep records as CSV text with the pinned header, LF line ends."""
-    return "\n".join([CSV_HEADER, *(_csv_row(*_csv_values(r)) for r in records)]) + "\n"
+    return _csv_text([[getattr(r, name) for r in records] for name in _CSV_FIELDS])
 
 
 def records_to_svg(records: list[SweepRecord], title: str = "") -> str:
@@ -64,8 +79,11 @@ def records_to_svg(records: list[SweepRecord], title: str = "") -> str:
         raise ValueError("no records to plot")
     xs = [r.lambda1 for r in records]
     ys = [r.efficiency for r in records]
-    carnot = records[0].eta_carnot
+    return _svg_text(xs, ys, records[0].eta_carnot, title)
 
+
+def _svg_text(xs: list[float], ys: list[float], carnot: float, title: str) -> str:
+    """The efficiency curve through (xs, ys) with the Carnot line, as SVG."""
     x_lo, x_hi = xs[0], xs[-1]
     if x_hi == x_lo:
         x_lo, x_hi = x_lo - 0.5, x_hi + 0.5
@@ -84,7 +102,9 @@ def records_to_svg(records: list[SweepRecord], title: str = "") -> str:
     def py(y: float) -> float:
         return height - bottom - (y - y_lo) / (y_hi - y_lo) * (height - top - bottom)
 
-    points = " ".join(f"{px(x):.2f},{py(y):.2f}" for x, y in zip(xs, ys))
+    # px and py map whole arrays too, with the same float operations.
+    pairs = zip(px(np.array(xs)).tolist(), py(np.array(ys)).tolist())
+    points = " ".join(map("%.2f,%.2f".__mod__, pairs))
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
@@ -132,7 +152,10 @@ def records_to_svg(records: list[SweepRecord], title: str = "") -> str:
 
 def _atomic_write(path: str, text: str) -> None:
     directory = os.path.dirname(os.path.abspath(path)) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".lmgcycle-", suffix=".part")
+    tmp = os.path.join(directory, f".lmgcycle-{os.urandom(8).hex()}.part")
+    # Mode 0o666 less the umask, as open(path, "w") would create the file.
+    flags = os.O_WRONLY | os.O_CREAT | os.O_EXCL | getattr(os, "O_BINARY", 0)
+    fd = os.open(tmp, flags, 0o666)
     try:
         with os.fdopen(fd, "w", newline="\n") as handle:
             handle.write(text)
@@ -153,21 +176,23 @@ def _emit(text: str, out: str | None) -> None:
         print(f"wrote {out}")
 
 
-def _dataset_outputs(records: list[SweepRecord], title: str, fmt: str, out: str | None,
+def _dataset_outputs(spec: SweepSpec, title: str, fmt: str, out: str | None,
                      default_stem: str | None) -> None:
-    """Route one dataset to stdout or files, honouring --format."""
-    if fmt == "csv":
-        path = out if out is not None else (default_stem + ".csv" if default_stem else None)
-        _emit(records_to_csv(records), path)
-    elif fmt == "svg":
-        path = out if out is not None else (default_stem + ".svg" if default_stem else None)
-        _emit(records_to_svg(records, title), path)
-    else:
+    """Sweep one dataset and route it to stdout or files, honouring --format."""
+    if fmt == "both":
         stem = os.path.splitext(out)[0] if out is not None else default_stem
         if stem is None:
             raise ValueError("--format both requires --out")
-        _emit(records_to_csv(records), stem + ".csv")
-        _emit(records_to_svg(records, title), stem + ".svg")
+        targets = [("csv", stem + ".csv"), ("svg", stem + ".svg")]
+    else:
+        path = out if out is not None else (f"{default_stem}.{fmt}" if default_stem else None)
+        targets = [(fmt, path)]
+    columns = _sweep_columns(spec)
+    for kind, path in targets:
+        if kind == "csv":
+            _emit(_csv_text(columns), path)
+        else:
+            _emit(_svg_text(columns.lambda1, columns.efficiency, columns.eta_carnot, title), path)
 
 
 def _cmd_spectrum(args: argparse.Namespace) -> int:
@@ -193,7 +218,7 @@ def _cmd_cycle(args: argparse.Namespace) -> int:
     spec = SweepSpec(
         args.n, args.t_hot, args.t_cold, args.lambda2, (args.lambda1,), args.backend
     )
-    _emit(records_to_csv(sweep_lambda1(spec)), args.out)
+    _emit(_csv_text(_sweep_columns(spec)), args.out)
     return 0
 
 
@@ -226,8 +251,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         backend = args.backend or "exact"
         spec = SweepSpec(args.n, args.t_hot, args.t_cold, args.lambda2, grid, backend)
         title = _sweep_title(spec)
-    records = sweep_lambda1(spec)
-    _dataset_outputs(records, title, args.format, args.out, default_stem=None)
+    _dataset_outputs(spec, title, args.format, args.out, default_stem=None)
     return 0
 
 
@@ -241,7 +265,7 @@ def _cmd_figures(args: argparse.Namespace) -> int:
     for figure_id, out, stem in jobs:
         spec = figure_sweep(figure_id)
         title = f"figure {figure_id}: " + _sweep_title(spec)
-        _dataset_outputs(sweep_lambda1(spec), title, args.format, out, default_stem=stem)
+        _dataset_outputs(spec, title, args.format, out, default_stem=stem)
     return 0
 
 

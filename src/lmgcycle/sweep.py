@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -42,11 +45,11 @@ class SweepSpec:
     backend: str = "exact"
 
     def __post_init__(self) -> None:
-        grid = tuple(float(v) for v in self.lambda1_grid)
+        grid = tuple(map(float, self.lambda1_grid))
         object.__setattr__(self, "lambda1_grid", grid)
         if not grid:
             raise ValueError("lambda1_grid must not be empty")
-        if any(b <= a for a, b in zip(grid, grid[1:])):
+        if any(map(operator.le, grid[1:], grid)):
             raise ValueError("lambda1_grid must be strictly ascending")
         if self.backend not in BACKENDS:
             raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
@@ -96,6 +99,28 @@ def _grid_strokes(spec, lambda1s: np.ndarray, grid: tuple[float, ...]):
     return entropies, _strokes(spec.t_hot, spec.t_cold, entropies, excesses)
 
 
+# One sweep as columns, in SweepRecord field order.  Each field is a list
+# over the grid, except eta_carnot, q_da, s_a and s_d: they depend only
+# on corners A and D, which every row of a sweep shares, so each is a
+# single float.
+_SweepColumns = namedtuple(
+    "_SweepColumns",
+    "lambda1 efficiency eta_carnot work q_h q_ab q_bc q_cd q_da s_a s_b s_c s_d is_engine",
+)
+
+
+def _sweep_columns(spec: SweepSpec) -> _SweepColumns:
+    """The rows of sweep_lambda1, as columns."""
+    grid = np.array(spec.lambda1_grid, dtype=np.float64)
+    (s_a, s_b, s_c, s_d), st = _grid_strokes(spec, grid, spec.lambda1_grid)
+    return _SweepColumns(
+        list(spec.lambda1_grid), st.efficiency.tolist(), carnot_bound(spec.t_hot, spec.t_cold),
+        st.work.tolist(), st.q_h.tolist(), st.q_ab.tolist(), st.q_bc.tolist(),
+        st.q_cd.tolist(), float(st.q_da), float(s_a), s_b.tolist(), s_c.tolist(),
+        float(s_d), st.is_engine.tolist(),
+    )
+
+
 def sweep_lambda1(spec: SweepSpec) -> list[SweepRecord]:
     """One cycle per grid point, in grid order.
 
@@ -103,15 +128,10 @@ def sweep_lambda1(spec: SweepSpec) -> list[SweepRecord]:
     as one block.  A grid value outside [0, lambda2] is reported with
     its grid index and field value, so a bad grid names its own culprit.
     """
-    grid = np.array(spec.lambda1_grid, dtype=np.float64)
-    (s_a, s_b, s_c, s_d), st = _grid_strokes(spec, grid, spec.lambda1_grid)
-    eta_carnot = carnot_bound(spec.t_hot, spec.t_cold)
-    values = (
-        grid, st.efficiency, eta_carnot, st.work, st.q_h, st.q_ab, st.q_bc, st.q_cd, st.q_da,
-        s_a, s_b, s_c, s_d, st.is_engine,
-    )
-    columns = [np.broadcast_to(value, grid.shape).tolist() for value in values]
-    return [SweepRecord(*row) for row in zip(*columns)]
+    columns = _sweep_columns(spec)
+    rows = len(columns.lambda1)
+    fields = (c if isinstance(c, list) else repeat(c, rows) for c in columns)
+    return [SweepRecord(*row) for row in zip(*fields)]
 
 
 def efficiency_derivative(spec: CycleSpec, lambda1: float, h: float = DERIVATIVE_STEP) -> float:

@@ -1,6 +1,8 @@
 """Command-line behaviour: verbs, formats, files, exit codes."""
 
+import hashlib
 import os
+import stat
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -8,8 +10,10 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import lmgcycle
-from lmgcycle import CycleSpec, run_cycle
-from lmgcycle.cli import CSV_HEADER, main
+from lmgcycle import (
+    CycleSpec, SweepRecord, SweepSpec, figure_ids, figure_sweep, run_cycle, sweep_lambda1,
+)
+from lmgcycle.cli import CSV_HEADER, main, records_to_csv, records_to_svg
 
 
 def run_main(argv, capsys):
@@ -222,6 +226,126 @@ class TestFiguresVerb:
         )
         assert code == 1
         assert "requires --out" in err
+
+
+def reference_csv(rows):
+    """CSV text formatted field by field, independent of the CLI's formatter."""
+    lines = [CSV_HEADER]
+    lines.extend(",".join(format(value, ".12g") for value in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
+def record_row(r):
+    return (r.lambda1, r.efficiency, r.eta_carnot, r.work, r.q_h, r.q_ab, r.q_bc, r.q_cd,
+            r.q_da, r.s_a, r.s_b, r.s_c, r.s_d)
+
+
+def sweep_title(spec):
+    return (
+        f"n={spec.n} t_hot={spec.t_hot:g} t_cold={spec.t_cold:g} "
+        f"lambda2={spec.lambda2:g} backend={spec.backend}"
+    )
+
+
+class TestOutputBytes:
+    """The files and streams the verbs write, byte for byte."""
+
+    @pytest.mark.parametrize("figure_id", figure_ids())
+    def test_figures_both_match_library(self, figure_id, tmp_path, capsys):
+        stem = tmp_path / f"fig{figure_id}"
+        code, _, _ = run_main(
+            ["figures", "--figure", figure_id, "--format", "both", "--out", str(stem)], capsys
+        )
+        assert code == 0
+        spec = figure_sweep(figure_id)
+        records = sweep_lambda1(spec)
+        csv_bytes = (tmp_path / f"fig{figure_id}.csv").read_bytes()
+        assert csv_bytes == records_to_csv(records).encode()
+        assert csv_bytes == reference_csv(map(record_row, records)).encode()
+        title = f"figure {figure_id}: " + sweep_title(spec)
+        svg_bytes = (tmp_path / f"fig{figure_id}.svg").read_bytes()
+        assert svg_bytes == records_to_svg(records, title).encode()
+
+    @pytest.mark.parametrize("backend", ["exact", "asymptotic"])
+    def test_cycle_verb_row_formats_run_cycle(self, backend, capsys):
+        code, out, _ = run_main(
+            ["cycle", "--n", "30", "--t-hot", "0.5", "--t-cold", "0.3", "--lambda1", "0.4",
+             "--lambda2", "0.8", "--backend", backend],
+            capsys,
+        )
+        assert code == 0
+        r = run_cycle(CycleSpec(30, 0.5, 0.3, 0.4, 0.8, backend))
+        a, b, c, d = (corner.entropy for corner in r.corners)
+        row = (0.4, r.efficiency, r.eta_carnot, r.work, r.q_h, r.q_ab, r.q_bc, r.q_cd, r.q_da,
+               a, b, c, d)
+        assert out == reference_csv([row])
+        spec = SweepSpec(30, 0.5, 0.3, 0.8, (0.4,), backend)
+        assert out == records_to_csv(sweep_lambda1(spec))
+
+    def test_one_point_sweep_svg(self, capsys):
+        # A one-point grid takes the widened x range (x_hi == x_lo).
+        code, out, _ = run_main(
+            ["sweep", "--n", "2", "--t-hot", "0.6", "--t-cold", "0.3",
+             "--lambda2", "1", "--grid", "1", "--format", "svg"],
+            capsys,
+        )
+        assert code == 0
+        spec = SweepSpec(2, 0.6, 0.3, 1.0, (0.0,))
+        assert out == records_to_svg(sweep_lambda1(spec), sweep_title(spec))
+        digest = "a45a660b4200a4e07311a72abdbcfad312cdf5dae29997b4a29fe552c5d745c9"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_small_sweep_svg_bytes(self, capsys):
+        _, out, _ = run_main(
+            ["sweep", "--n", "2", "--t-hot", "0.6", "--t-cold", "0.3",
+             "--lambda2", "1", "--grid", "9", "--format", "svg"],
+            capsys,
+        )
+        digest = "2416cc41f5f83963693212a0a03c582aae5aa7d20a68b9e25408d192b3f00fa1"
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_no_records_gives_header_only(self):
+        assert records_to_csv([]) == CSV_HEADER + "\n"
+
+    def test_cli_builds_no_records(self, tmp_path, capsys, monkeypatch):
+        built = []
+        init = SweepRecord.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(SweepRecord, "__init__", counting_init)
+        code, _, _ = run_main(
+            ["figures", "--figure", "8", "--format", "both", "--out", str(tmp_path / "f")],
+            capsys,
+        )
+        assert code == 0
+        assert (tmp_path / "f.csv").exists() and (tmp_path / "f.svg").exists()
+        assert len(built) == 0
+        sweep_lambda1(SweepSpec(2, 0.6, 0.3, 1.0, (0.0, 0.5)))
+        assert len(built) == 2
+
+
+@pytest.mark.skipif(os.name != "posix", reason="file modes are POSIX")
+@pytest.mark.parametrize("mask", [0o022, 0o027, 0o002], ids=oct)
+def test_written_files_get_open_mode(mask, tmp_path, capsys):
+    previous = os.umask(mask)
+    try:
+        code, _, _ = run_main(
+            ["figures", "--figure", "7b", "--format", "both", "--out", str(tmp_path / "f")],
+            capsys,
+        )
+        with open(tmp_path / "plain", "w"):
+            pass
+    finally:
+        os.umask(previous)
+    assert code == 0
+    expected = stat.S_IMODE(os.stat(tmp_path / "plain").st_mode)
+    assert expected == 0o666 & ~mask
+    for name in ("f.csv", "f.svg"):
+        assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == expected
+    assert sorted(os.listdir(tmp_path)) == ["f.csv", "f.svg", "plain"]
 
 
 class TestValidateVerb:

@@ -1,5 +1,6 @@
 """Sweeps, peak census, derivative curves, and the figure catalogue."""
 
+import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -25,6 +26,7 @@ from lmgcycle import (
     sweep_lambda1,
 )
 from lmgcycle.ensemble import _BLOCK_ELEMENTS
+from lmgcycle.sweep import _sweep_columns, _SweepColumns
 
 
 def _flat_record(lambda1, efficiency):
@@ -157,6 +159,24 @@ class TestSweep:
         second = sweep_lambda1(spec)
         assert [r.efficiency for r in first] == [r.efficiency for r in second]
         assert [r.work for r in first] == [r.work for r in second]
+
+    def test_columns_follow_the_record_fields(self):
+        assert _SweepColumns._fields == tuple(f.name for f in dataclasses.fields(SweepRecord))
+
+    @pytest.mark.parametrize("backend", ["exact", "asymptotic"])
+    def test_columns_hold_the_records(self, backend):
+        spec = SweepSpec(6, 0.3, 0.2, 2.0, tuple(i * 0.1 for i in range(21)), backend)
+        columns = _sweep_columns(spec)
+        records = sweep_lambda1(spec)
+        for name, column in zip(_SweepColumns._fields, columns):
+            values = [getattr(r, name) for r in records]
+            if name in ("eta_carnot", "q_da", "s_a", "s_d"):
+                # Shared by every row, so held once.
+                assert type(column) is float
+                assert values == [column] * len(records)
+            else:
+                assert values == column
+                assert {type(v) for v in column} == {bool if name == "is_engine" else float}
 
     def test_failure_names_the_grid_index(self):
         spec = SweepSpec(2, 0.6, 0.3, 4.0, (0.0, 1.0))
