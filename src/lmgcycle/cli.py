@@ -242,6 +242,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     else:
         if any(v is None for v in manual):
             parser.error("either --figure or all of --n/--t-hot/--t-cold/--lambda2 are required")
+        # lambda2 sets the default grid size, so it is checked first.
+        ModelSpec(args.n, args.lambda2)
         count = args.grid
         if count is None:
             count = int(round(DEFAULT_GRID_DENSITY * args.lambda2)) + 1

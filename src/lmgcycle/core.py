@@ -94,7 +94,7 @@ def eigenenergy(spec: ModelSpec, twice_m: int) -> float:
         If ``twice_m`` is out of range or has the wrong parity for n.
     """
     _check_twice_m(spec.n, twice_m)
-    return _level_energy(spec.n, float(twice_m), spec.lam)
+    return float(_level_energy(spec.n, float(twice_m), spec.lam))
 
 
 def _level_energy(n, twice_m, lam, out=None):
@@ -102,11 +102,9 @@ def _level_energy(n, twice_m, lam, out=None):
 
     Every layer evaluates levels through this exact sequence of
     operations, so a level has the same float wherever it is formed.
-    Given an array out, the same operations run in place there.
+    The result is written to out when it is given, and to a new array
+    (a numpy scalar for scalar arguments) otherwise.
     """
-    if out is None:
-        d = twice_m - n * lam
-        return d * d / (2.0 * n) - n * (1.0 + lam * lam) / 2.0 - 1.0
     d = np.subtract(twice_m, n * lam, out=out)
     d *= d
     d /= 2.0 * n
@@ -134,11 +132,13 @@ def ground_set(spec: ModelSpec) -> set[int]:
     which resolves the exact two-fold crossings at lam = (2k+1)/n without
     merging genuinely distinct neighbours.
     """
-    energies = energy_levels(spec)
-    labels = allowed_twice_m(spec.n)
-    floor = float(energies.min())
-    hit = energies <= floor + DEGENERACY_ATOL
-    return {int(t) for t in labels[hit]}
+    hit = _ground_mask(energy_levels(spec))
+    return {int(t) for t in allowed_twice_m(spec.n)[hit]}
+
+
+def _ground_mask(energies: np.ndarray) -> np.ndarray:
+    """Which levels of a ladder are degenerate with its minimum."""
+    return energies <= float(energies.min()) + DEGENERACY_ATOL
 
 
 def level_crossings(n: int) -> list[float]:

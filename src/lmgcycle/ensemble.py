@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ModelSpec, _level_energy, allowed_twice_m, energy_levels, ground_set
+from .core import ModelSpec, _ground_mask, _level_energy, energy_levels
 
 __all__ = ["POPULATION_FLUSH", "ThermalState", "log_partition_exact", "thermal_state"]
 
@@ -199,8 +199,16 @@ def _window(n: int, beta, lam, start, width: int, keep: bool):
     labels = np.add(steps, float(-n) if start is None else column(2.0 * start - n), out=energies)
     energies = _level_energy(n, labels, column(lam), out=energies)
     low = energies.min(axis=-1)
+    top = -beta * low
+    # top >= 0, so its maximum is finite unless some row overflowed, and
+    # the shift below would then form inf - inf.
+    if not math.isfinite(top.max() if rows else top):
+        raise ValueError(
+            f"temperature too low: beta={float(np.max(beta))!r} times the ground "
+            f"energy overflows for n={n}"
+        )
     weights = np.multiply(column(-beta), energies, out=weights)
-    weights -= column(-beta * low)
+    weights -= column(top)
     np.exp(weights, out=weights)
     total = weights.sum(axis=-1)
     weights /= column(total)
@@ -270,19 +278,19 @@ def thermal_state(spec: ModelSpec, temperature: float, energy_offset: float = 0.
     _check_offset(energy_offset)
 
     if temperature == 0.0:
-        members = ground_set(spec)
-        labels = allowed_twice_m(spec.n)
-        populations = np.zeros(labels.shape[0])
-        populations[np.isin(labels, sorted(members))] = 1.0 / len(members)
+        energies = energy_levels(spec)
+        ground = _ground_mask(energies)
+        members = int(np.count_nonzero(ground))
+        populations = ground / members
         populations.setflags(write=False)
-        shifted_floor = float(energy_levels(spec).min()) + energy_offset
+        shifted_floor = float(energies.min()) + energy_offset
         return ThermalState(
             spec=spec,
             temperature=0.0,
             log_z=math.inf,
             populations=populations,
             internal_energy=shifted_floor,
-            entropy=math.log(len(members)),
+            entropy=math.log(members),
             energy_floor=shifted_floor,
             excess_energy=0.0,
         )

@@ -1,8 +1,8 @@
-"""Error-function primitives built from a series and a continued fraction.
+"""Error-function primitives for the asymptotic partition function.
 
-Kept dependency-free on purpose: the asymptotic partition function needs
-log-domain complementary values far beyond where a naive 1 - erf(x)
-underflows, so the Laplace continued fraction is exposed directly.
+erf and erfc are the standard library's.  log_erfc must stay finite far
+past x ~ 26.6, where erfc itself underflows, so from x = 3 on it is
+formed from the Laplace continued fraction of erfc's tail instead.
 """
 
 from __future__ import annotations
@@ -11,27 +11,11 @@ import math
 
 __all__ = ["erf", "erfc", "log_erfc"]
 
-_SQRT_PI = math.sqrt(math.pi)
-# Below this the Maclaurin series converges fast; above it the continued
-# fraction for the complement is already accurate.
-_SERIES_CUT = 3.0
-# erf saturates to +-1 in double precision beyond this point.
-_SATURATE_CUT = 6.0
+_LOG_SQRT_PI = math.log(math.sqrt(math.pi))
+# From here on log_erfc uses the continued fraction, which is already
+# accurate at this depth.
+_CF_CUT = 3.0
 _CF_DEPTH = 129
-
-
-def _series(x: float) -> float:
-    # erf(x) = 2/sqrt(pi) * sum_k (-1)^k x^(2k+1) / (k! (2k+1)),  |x| < 3
-    term = x
-    total = x
-    xx = x * x
-    k = 1
-    while True:
-        term *= -xx * (2 * k - 1) / (k * (2 * k + 1))
-        total += term
-        if abs(term) <= 1e-17 * abs(total):
-            return 2.0 / _SQRT_PI * total
-        k += 1
 
 
 def _cf_tail(x: float) -> float:
@@ -44,32 +28,17 @@ def _cf_tail(x: float) -> float:
 
 
 def erf(x: float) -> float:
-    """Gauss error function, accurate to well below 1e-7 absolute."""
-    if math.isnan(x):
-        return x
-    if x < 0.0:
-        return -erf(-x)
-    if x >= _SATURATE_CUT:
-        return 1.0
-    if x >= _SERIES_CUT:
-        return 1.0 - math.exp(-x * x) / _SQRT_PI * _cf_tail(x)
-    return _series(x)
+    """Gauss error function (math.erf)."""
+    return math.erf(x)
 
 
 def erfc(x: float) -> float:
-    """Complementary error function 1 - erf(x) without cancellation."""
-    if math.isnan(x):
-        return x
-    if x < _SERIES_CUT:
-        # erfc stays of order one here, so the difference is safe.
-        return 1.0 - erf(x)
-    return math.exp(-x * x) / _SQRT_PI * _cf_tail(x)
+    """Complementary error function 1 - erf(x) (math.erfc)."""
+    return math.erfc(x)
 
 
 def log_erfc(x: float) -> float:
     """log(erfc(x)), finite far past the underflow point of erfc itself."""
-    if math.isnan(x):
-        return x
-    if x < _SERIES_CUT:
-        return math.log(erfc(x))
-    return -x * x - math.log(_SQRT_PI) + math.log(_cf_tail(x))
+    if not x >= _CF_CUT:  # NaN takes this branch and stays NaN
+        return math.log(math.erfc(x))
+    return -x * x - _LOG_SQRT_PI + math.log(_cf_tail(x))

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import pytest
 
 from lmgcycle import (
@@ -97,6 +98,25 @@ class TestIntegralState:
         for bad in (0.0, -0.5, math.inf):
             with pytest.raises(ValueError):
                 integral_state(ModelSpec(100, 0.5), bad)
+
+    @pytest.mark.parametrize(
+        "n, lam, temperature",
+        [(n, lam, t) for n in (500, 1000, 3000) for lam in (0.9, 1.05, 1.1, 1.2, 1.5)
+         for t in (0.3, 0.6, 0.9, 2.0, 5.0)] + [(543, 1.1703, 0.890)],
+    )
+    def test_energy_matches_mpmath(self, n, lam, temperature):
+        # U = -d log Z / d beta of the same integral, at 40 digits, with
+        # the bracket as erfc(-u) - erfc(l) so it keeps its digits.
+        def log_z(beta):
+            root = mpmath.sqrt(2 * n * beta)
+            bracket = mpmath.erfc(-(1 - lam) / 2 * root) - mpmath.erfc((1 + lam) / 2 * root)
+            return beta * n * (1 + lam**2) / 2 - mpmath.log(root) + mpmath.log(bracket)
+
+        with mpmath.workdps(40):
+            beta = 1 / mpmath.mpf(temperature)
+            energy = float(-mpmath.diff(log_z, beta))
+            scale = abs(energy) + float(abs(log_z(beta)) / beta)
+        assert abs(integral_state(ModelSpec(n, lam), temperature)[1] - energy) <= 1e-9 * scale
 
 
 class TestRegimeForms:

@@ -68,6 +68,26 @@ class TestDomainErrors:
         code, _, err = run_main(["spectrum", "--n", "4", "--lambda1", "-1"], capsys)
         assert code == 1
 
+    @pytest.mark.parametrize("lambda2", ["inf", "nan", "-1"])
+    def test_sweep_bad_lambda2_without_grid(self, lambda2, capsys):
+        # lambda2 sets the default grid size, so it must be rejected as a
+        # field before any grid is derived from it.
+        code, out, err = run_main(
+            ["sweep", "--n", "3", "--t-hot", "2", "--t-cold", "1", "--lambda2", lambda2],
+            capsys,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: lam must be finite and >= 0")
+
+    def test_thermal_temperature_below_float_range(self, capsys):
+        code, out, err = run_main(
+            ["thermal", "--n", "3", "--lambda1", "0.5", "--t", "1e-310"], capsys
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: temperature too low")
+
 
 class TestSpectrumVerb:
     def test_stdout_table(self, capsys):

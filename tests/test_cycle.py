@@ -55,6 +55,12 @@ class TestCycleSpec:
     def test_equal_fields_are_legal(self):
         CycleSpec(4, 0.3, 0.2, 2.0, 2.0)
 
+    @pytest.mark.parametrize("t_cold", [1e-308, 1e-310])
+    def test_cold_bath_below_float_range_raises(self, t_cold):
+        # Used to give work NaN and efficiency 0.0.
+        with pytest.raises(ValueError, match="temperature too low"):
+            run_cycle(CycleSpec(3, 1.0, t_cold, 0.5, 2.0))
+
 
 class TestTwoSpinReference:
     def test_energetics(self):

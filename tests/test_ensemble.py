@@ -66,6 +66,14 @@ class TestLogPartition:
         with pytest.raises(ValueError):
             log_partition_exact(ModelSpec(3, 0.5), 1.0, math.inf)
 
+    def test_rejects_beta_whose_ground_weight_overflows(self):
+        # beta * E_min overflows float64 here, which used to give NaN.
+        with pytest.raises(ValueError, match="temperature too low"):
+            log_partition_exact(ModelSpec(3, 0.5), 1e308)
+        assert log_partition_exact(ModelSpec(3, 0.5), 1e300) == pytest.approx(
+            2.833333333333333e300, rel=1e-15
+        )
+
 
 class TestThermalState:
     def test_populations_normalize_and_order(self):
@@ -110,6 +118,19 @@ class TestThermalState:
             thermal_state(ModelSpec(3, 0.5), -0.1)
         with pytest.raises(ValueError):
             thermal_state(ModelSpec(3, 0.5), math.nan)
+
+    @pytest.mark.parametrize("temperature", [1e-308, 1e-310])
+    def test_rejects_temperature_below_float_range(self, temperature):
+        # 1/T * E_min overflows (1e-310 even makes 1/T infinite); the
+        # state used to come back as NaN.
+        with pytest.raises(ValueError, match="temperature too low"):
+            thermal_state(ModelSpec(3, 0.5), temperature)
+
+    def test_smallest_representable_temperatures_still_work(self):
+        state = thermal_state(ModelSpec(3, 0.5), 1e-300)
+        assert state.populations.tolist() == [0.0, 0.0, 1.0, 0.0]
+        assert state.internal_energy == energy_levels(ModelSpec(3, 0.5)).min()
+        assert state.entropy == 0.0
 
     def test_entropy_increases_with_temperature(self):
         model = ModelSpec(6, 0.7)
