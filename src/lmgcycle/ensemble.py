@@ -25,6 +25,8 @@ __all__ = ["POPULATION_FLUSH", "ThermalState", "log_partition_exact", "thermal_s
 # Occupations below this are flushed to exact zero before use.
 POPULATION_FLUSH = 1e-300
 _FLUSH_LOG = -math.log(POPULATION_FLUSH)
+# Logits are raised to this cut before np.exp (see _ladder).
+_EXP_CUT = -(_FLUSH_LOG + 1.0)
 
 # Level values one kernel chunk may hold; a block with more rows is
 # evaluated in chunks of whole rows, so memory stays bounded.
@@ -79,63 +81,129 @@ class ThermalState:
 _Ladder = namedtuple("_Ladder", "floor excess entropy log_z populations", defaults=(None,))
 
 
-def _window_width(n: int, beta: float) -> int:
-    """Levels in each row's window at inverse temperature beta.
+def _window_width(n: int, beta: float, lam: float) -> int:
+    """Levels in the window of the row at inverse temperature beta and field lam.
 
-    With t0 the ground 2M label (any label with |t0 - n lam| <= 1, or
-    the clipped edge n when n lam > n), completing the square gives
-    2n (E_t - E_min) >= (|t - t0| - 1)^2 - 1.  The ground weight is 1,
-    so the partition sum is >= 1 and every level with
-    |t - t0| > 1 + sqrt(2 n ln(1/POPULATION_FLUSH) / beta + 1) has a
-    population below POPULATION_FLUSH, which the full-ladder sum
-    flushes to zero anyway.  Dropping those levels therefore changes
-    nothing but the order of summation.  One extra level on each side
-    absorbs the rounding of the float energies.  beta = 0 and short
-    ladders keep every level.
+    The ground weight is 1, so the partition sum is >= 1, and a level
+    whose weight exp(-beta (E_t - E_min)) is below POPULATION_FLUSH has
+    a population below it, which the full-ladder sum flushes to zero
+    anyway.  Dropping those levels therefore changes nothing but the
+    order of summation.  With s = 2 n ln(1/POPULATION_FLUSH) / beta and
+    t0 the ground 2M label, 2n (E_t - E_min) = (t - n lam)^2 -
+    (t0 - n lam)^2, and a level can only be kept if that is <= s:
+
+    * Up to the critical field (lam <= 1), t0 is any label with
+      |t0 - n lam| <= 1 (or the clipped edge), so 2n (E_t - E_min) >=
+      (|t - t0| - 1)^2 - 1, and the window keeps the levels with
+      |t - t0| <= 1 + sqrt(s + 1), plus one level on each side.
+    * Past it (lam > 1), t0 is the edge label n.  With d = n - t and
+      g = n (lam - 1), 2n (E_t - E_min) = 2 g d + d^2, so every level
+      with d > D = s / (g + sqrt(g^2 + s)) is flushed.  A level step
+      costs about 2 (lam - 1) there, so D is far below the reach of the
+      first case, and it hardly depends on n once g^2 >> s.  The window
+      keeps the int(D/2) + 1 levels next to the edge plus one more,
+      rounded up to a multiple of _WINDOW_MIN_LEVELS, or above 32 such
+      multiples to one of 16 widths per octave.  A sweep's rows then
+      share a few widths, and so a few kernel calls, each of which costs
+      more than the levels the rounding adds.
+
+    The extra level absorbs the rounding of the float energies.  Rows
+    whose window would span the ladder keep every level, among them
+    beta = 0 and temperatures so high that s overflows.
     """
-    if beta == 0.0 or n + 1 < _WINDOW_MIN_LEVELS:
+    if beta == 0.0:
         return n + 1
-    reach = 1.0 + math.sqrt(2.0 * n * _FLUSH_LOG / beta + 1.0)
-    return min(n + 1, 2 * int(reach / 2.0) + 3)
+    spread = 2.0 * n * _FLUSH_LOG / beta
+    if lam > 1.0:
+        g = n * (lam - 1.0)
+        reach = spread / (g + math.sqrt(g * g + spread))
+    else:
+        reach = 1.0 + math.sqrt(spread + 1.0)
+    # A reach of 2n + 2 in 2M units spans the whole ladder either way.
+    # NaN, from an overflowed spread, fails the comparison too.
+    if not reach < 2 * n + 2:
+        return n + 1
+    if lam <= 1.0:
+        return min(n + 1, 2 * int(reach / 2.0) + 3)
+    levels = int(reach / 2.0) + 2
+    unit = max(1 << max(levels.bit_length() - 5, 0), _WINDOW_MIN_LEVELS)
+    return min(n + 1, -(-levels // unit) * unit)
+
+
+def _window_start(n: int, lam, width: int):
+    """First level index of each row's window; None for whole ladders."""
+    if width > n:
+        return None
+    return (np.rint((n + n * lam) / 2.0) - width // 2).clip(0, n + 1 - width)
 
 
 def _ladder(n: int, betas, lams, populations: bool = False) -> _Ladder:
     """Thermodynamics of every (beta, field) pair of one system.
 
-    Each row evaluates the level window around its ground level with
-    the per-level arithmetic of a full-ladder sum: energies from the
-    ladder expression, weights exp(-beta E - top) with top = -beta
-    E_min, occupations below POPULATION_FLUSH flushed to zero, and
-    S = ln(sum w) + beta * excess.  The window depends on (n, beta)
-    alone and every reduction runs along the contiguous level axis of
-    its row, so a row's floats do not depend on the rest of the block.
+    Each row evaluates the level window around its ground level (see
+    _window_width) with the per-level arithmetic of a full-ladder sum:
+    energies from the ladder expression, weights exp(-beta E - top) with
+    top = -beta E_min, occupations below POPULATION_FLUSH flushed to
+    zero, and S = ln(sum w) + beta * excess.  On windowed ladders past
+    the critical field the ground weight, the last of the window, is
+    added to sum w after the others (see _window).
+
+    Logits -beta E - top below c = -(ln(1/POPULATION_FLUSH) + 1) are
+    raised to c before exponentiation.  The ground weight is exactly 1,
+    so the weight sum is >= 1, and a weight e^c < POPULATION_FLUSH / e
+    is flushed just as the smaller unraised one was; the raised weights
+    add less than (n + 1) e^c < 1e-290 to the sum, far below its last
+    bit.  So the cut changes no float, and it keeps np.exp off its slow
+    subnormal and underflowing arguments.
+
+    The window depends on the row's own (n, beta, lam), rows sharing a
+    window width and ground position are evaluated together in chunks,
+    and every reduction runs along the contiguous level axis of its
+    row, so a row's floats do not depend on the rest of the block: a
+    sweep row equals the lone row of thermal_state or run_cycle bit for
+    bit.
     """
     lams = np.asarray(lams, dtype=np.float64)
-    widths = {_window_width(n, beta) for beta in betas}
-    if len(widths) > 1:
-        parts = [_ladder(n, (beta,), lams, populations) for beta in betas]
-        return _Ladder(*(None if c[0] is None else np.concatenate(c) for c in zip(*parts)))
-    width = widths.pop()
+    short = n + 1 < _WINDOW_MIN_LEVELS
     lam = lams if len(betas) == 1 else np.concatenate([lams] * len(betas))
-    start = None
-    if width <= n:
-        start = (np.rint((n + n * lam) / 2.0) - width // 2).clip(0, n + 1 - width)
     if lam.size == 1:
         # A lone row runs on 1-D arrays and numpy scalars, which numpy
         # evaluates faster.
         beta = betas[0]
-        floor, excess, total, kept = _window(n, beta, lam[0], start, width, populations)
+        width = n + 1 if short else _window_width(n, beta, lam[0])
+        start = _window_start(n, lam, width)
+        edge = not short and lam[0] > 1.0
+        floor, excess, total, kept = _window(n, beta, lam[0], start, width, populations, edge)
     else:
         beta = np.repeat(np.asarray(betas, dtype=np.float64), lams.size)
-        step = max(1, _BLOCK_ELEMENTS // width)
-        parts = [
-            _window(n, beta[i : i + step], lam[i : i + step],
-                    None if start is None else start[i : i + step], width, populations)
-            for i in range(0, lam.size, step)
-        ]
+        order = None
+        if short:
+            runs = [(n + 1, False, 0, lam.size)]
+        else:
+            widths = [_window_width(n, b, x) for b, x in zip(beta.tolist(), lam.tolist())]
+            # Rows sharing a width and a ground position are contiguous
+            # once sorted by this key.  The widest come first, so the
+            # reused arrays grow once instead of once per width.
+            keys = 2 * np.array(widths) + (lam > 1.0)
+            order = np.argsort(-keys, kind="stable")
+            beta, lam, keys = beta[order], lam[order], keys[order]
+            bounds = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), lam.size]
+            runs = [(int(keys[a]) // 2, bool(keys[a] % 2), a, b) for a, b in zip(bounds, bounds[1:])]
+        parts = []
+        for width, edge, first, last in runs:
+            step = max(1, _BLOCK_ELEMENTS // width)
+            for i in range(first, last, step):
+                rows = slice(i, min(i + step, last))
+                start = _window_start(n, lam[rows], width)
+                parts.append(_window(n, beta[rows], lam[rows], start, width, populations, edge))
         floor, excess, total, kept = (
             c[0] if len(c) == 1 or c[0] is None else np.concatenate(c) for c in zip(*parts)
         )
+        if order is not None:
+            # Back to the caller's row order.
+            inverse = np.argsort(order)
+            beta, floor, excess, total = beta[inverse], floor[inverse], excess[inverse], total[inverse]
+            kept = None if kept is None else kept[inverse]
     log_norm = np.log(total)
     fields = (floor, excess, log_norm + beta * excess, -beta * floor + log_norm)
     shape = (len(betas), lams.size)
@@ -145,11 +213,6 @@ def _ladder(n: int, betas, lams, populations: bool = False) -> _Ladder:
         fields = np.array(fields).reshape((4,) + shape)
     if not populations:
         return _Ladder(*fields)
-    kept = kept.reshape(lam.size, width)
-    if start is not None:
-        full = np.zeros((lam.size, n + 1))
-        np.put_along_axis(full, start.astype(np.intp)[:, None] + np.arange(width), kept, axis=1)
-        kept = full
     return _Ladder(*fields, populations=kept.reshape(shape + (n + 1,)))
 
 
@@ -174,12 +237,17 @@ _SCRATCH = _Scratch()
 _SCRATCH_MIN = 1 << 12
 
 
-def _window(n: int, beta, lam, start, width: int, keep: bool):
+def _window(n: int, beta, lam, start, width: int, keep: bool, edge: bool):
     """Floor, excess, weight sum and populations of a chunk of rows.
 
-    beta, lam and start hold one value per row, or are scalars for a
-    lone row.  start is None when the rows span the whole ladder.  The
-    populations are an owned array when keep is set, and None otherwise.
+    beta and lam hold one value per row, or are scalars for a lone row,
+    and start holds each row's first level index, or is None when the
+    rows span the whole ladder.  The populations cover the whole ladder
+    in an owned array when keep is set, and are None otherwise.  edge
+    says that each row's ground level, whose weight is 1, is the last
+    level of its window.  That weight is then added after the others
+    are summed, so the sum near 1 is rounded once, and does not depend
+    on how the pairwise sum of a wider or narrower window groups it.
     """
     rows = isinstance(lam, np.ndarray)
     column = (lambda v: v[:, None]) if rows else (lambda v: v)
@@ -209,16 +277,31 @@ def _window(n: int, beta, lam, start, width: int, keep: bool):
         )
     weights = np.multiply(column(-beta), energies, out=weights)
     weights -= column(top)
+    # The cut costs a pass over the chunk.  Large chunks skip it when no
+    # logit can fall below it: no level lies more than n (1 + lam)^2 / 2
+    # above the ground level.
+    cut = size < _SCRATCH_MIN
+    if not cut:
+        beta_max, lam_max = (beta.max(), lam.max()) if rows else (beta, lam)
+        cut = beta_max * n * (1.0 + lam_max) ** 2 / 2.0 > -_EXP_CUT
+    if cut:
+        np.maximum(weights, _EXP_CUT, out=weights)
     np.exp(weights, out=weights)
-    total = weights.sum(axis=-1)
+    total = weights[..., :-1].sum(axis=-1) + weights[..., -1] if edge else weights.sum(axis=-1)
     weights /= column(total)
     weights[np.less(weights, POPULATION_FLUSH, out=flushed)] = 0.0
     energies -= column(low)
     energies *= weights
-    if keep and flushed is not None:
+    populations = None
+    if keep and start is None:
         # The next chunk overwrites the reused arrays.
-        weights = weights.copy()
-    return low, energies.sum(axis=-1), total, weights if keep else None
+        populations = weights if flushed is None else weights.copy()
+    elif keep:
+        populations = np.zeros(weights.shape[:-1] + (n + 1,))
+        np.put_along_axis(
+            populations, column(start.astype(np.intp)) + np.arange(width), weights, axis=-1
+        )
+    return low, energies.sum(axis=-1), total, populations
 
 
 def _row_state(

@@ -1,6 +1,7 @@
 """Command-line behaviour: verbs, formats, files, exit codes."""
 
 import hashlib
+import math
 import os
 import stat
 import subprocess
@@ -87,6 +88,17 @@ class TestDomainErrors:
         assert code == 1
         assert out == ""
         assert err.startswith("error: temperature too low")
+
+    def test_thermal_huge_finite_temperature(self, capsys):
+        # Used to end in an OverflowError traceback.
+        code, out, err = run_main(
+            ["thermal", "--n", "1000", "--lambda1", "0.5", "--t", "1e306"], capsys
+        )
+        assert code == 0
+        assert err == ""
+        header, row = out.strip().split("\n")
+        assert header.split(",")[-1] == "entropy"
+        assert float(row.split(",")[-1]) == pytest.approx(math.log(1001), rel=1e-11)
 
 
 class TestSpectrumVerb:

@@ -61,6 +61,13 @@ class TestCycleSpec:
         with pytest.raises(ValueError, match="temperature too low"):
             run_cycle(CycleSpec(3, 1.0, t_cold, 0.5, 2.0))
 
+    def test_huge_finite_baths_sum_whole_ladders(self):
+        # Used to raise OverflowError from the level window.
+        result = run_cycle(CycleSpec(1000, 1e308, 1e307, 0.5, 2.0))
+        for corner in result.corners:
+            assert corner.entropy == pytest.approx(math.log(1001), rel=1e-14)
+        assert math.isfinite(result.work) and math.isfinite(result.efficiency)
+
 
 class TestTwoSpinReference:
     def test_energetics(self):

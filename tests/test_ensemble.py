@@ -18,7 +18,8 @@ from lmgcycle import (
     spectrum,
     thermal_state,
 )
-from lmgcycle.ensemble import _BLOCK_ELEMENTS, _ladder
+from lmgcycle.core import _level_energy
+from lmgcycle.ensemble import _BLOCK_ELEMENTS, _WINDOW_MIN_LEVELS, _ladder, _window_width
 
 
 class TestLogPartition:
@@ -72,6 +73,13 @@ class TestLogPartition:
             log_partition_exact(ModelSpec(3, 0.5), 1e308)
         assert log_partition_exact(ModelSpec(3, 0.5), 1e300) == pytest.approx(
             2.833333333333333e300, rel=1e-15
+        )
+
+    def test_subnormal_beta_sums_whole_ladder(self):
+        # 2 n ln(1/POPULATION_FLUSH) / beta overflows; the window used to
+        # raise OverflowError instead of spanning the whole ladder.
+        assert log_partition_exact(ModelSpec(1000, 0.5), 1e-310) == pytest.approx(
+            math.log(1001), rel=1e-15
         )
 
 
@@ -131,6 +139,12 @@ class TestThermalState:
         assert state.populations.tolist() == [0.0, 0.0, 1.0, 0.0]
         assert state.internal_energy == energy_levels(ModelSpec(3, 0.5)).min()
         assert state.entropy == 0.0
+
+    def test_huge_finite_temperature_is_uniform(self):
+        # Used to raise OverflowError, while T = 1e300 and T = inf worked.
+        state = thermal_state(ModelSpec(1000, 0.5), 1e306)
+        assert state.populations == pytest.approx([1 / 1001] * 1001, rel=1e-14)
+        assert state.entropy == pytest.approx(math.log(1001), rel=1e-14)
 
     def test_entropy_increases_with_temperature(self):
         model = ModelSpec(6, 0.7)
@@ -232,6 +246,70 @@ def test_window_matches_full_ladder(n, where):
         outside = np.abs(labels - ground) > reach
         assert (state.populations[outside] == 0.0).all()
         assert (populations[outside] == 0.0).all()
+
+
+@pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
+@pytest.mark.parametrize("lam", [1.0 + 1e-6, 1.3, 2.0, 4.0])
+def test_window_past_critical_field_matches_full_ladder(n, lam):
+    # Past lam = 1 the ground level is the edge 2M = n, and every level
+    # whose 2M distance from it exceeds the gap bound D is flushed.
+    spec = ModelSpec(n, lam)
+    labels = allowed_twice_m(n)
+    dropped = (n + 1) * POPULATION_FLUSH
+    flush_log = math.log(1.0 / POPULATION_FLUSH)
+    for temperature in (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4):
+        state = thermal_state(spec, temperature)
+        log_z, excess, entropy, populations = _full_ladder(spec, temperature)
+        assert state.log_z == pytest.approx(log_z, rel=1e-12, abs=dropped)
+        assert state.excess_energy == pytest.approx(excess, rel=1e-12, abs=dropped)
+        assert state.entropy == pytest.approx(entropy, rel=1e-12, abs=dropped)
+        assert abs(state.populations.sum() - 1.0) <= 1e-12
+        spread = 2.0 * flush_log * temperature
+        bound = spread / ((lam - 1.0) + math.sqrt((lam - 1.0) ** 2 + spread / n))
+        outside = n - labels > bound
+        assert (populations[outside] == 0.0).all()
+        assert (state.populations[outside] == 0.0).all()
+
+
+def _unfloored_row(n, beta, lam):
+    """Populations, excess and logits below the cut of one row.
+
+    The kernel's per-level arithmetic over the same window, without the
+    cut that raises logits far below the flush before np.exp: every
+    logit is exponentiated as it is.
+    """
+    windowed = n + 1 >= _WINDOW_MIN_LEVELS
+    width = _window_width(n, beta, lam) if windowed else n + 1
+    start = 0.0
+    if width <= n:
+        start = float(np.clip(np.rint((n + n * lam) / 2.0) - width // 2, 0, n + 1 - width))
+    energies = _level_energy(n, np.arange(0.0, 2.0 * width, 2.0) + (2.0 * start - n), lam)
+    low = energies.min()
+    logits = -beta * energies - (-beta * low)
+    with np.errstate(under="ignore"):
+        weights = np.exp(logits)
+    # Past the critical field the ground weight, the last one, is added last.
+    weights /= weights[:-1].sum() + weights[-1] if windowed and lam > 1.0 else weights.sum()
+    weights[weights < POPULATION_FLUSH] = 0.0
+    populations = np.zeros(n + 1)
+    populations[int(start) : int(start) + width] = weights
+    below_cut = int((logits < -(math.log(1.0 / POPULATION_FLUSH) + 1.0)).sum())
+    return populations, ((energies - low) * weights).sum(), below_cut
+
+
+@pytest.mark.parametrize(
+    "n, lam, temperature",
+    [(10_000, 4.0, 80.0), (300, 3.0, 0.05), (200, 3.0, 0.05), (100, 0.3, 1e-3), (2_000, 0.2, 0.01)],
+)
+def test_exponent_cut_changes_no_float(n, lam, temperature):
+    # Deep-frozen rows whose windows hold logits below the cut: the
+    # kernel's populations and excess equal the unfloored ones bit for bit.
+    beta = 1.0 / temperature
+    populations, excess, below_cut = _unfloored_row(n, beta, lam)
+    assert below_cut > 0
+    block = _ladder(n, (beta,), (lam,), populations=True)
+    assert (block.populations[0][0] == populations).all()
+    assert block.excess[0][0] == excess
 
 
 def test_block_assembles_populations_only_on_request():

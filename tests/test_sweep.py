@@ -25,6 +25,7 @@ from lmgcycle import (
     run_figure,
     sweep_lambda1,
 )
+from lmgcycle import ensemble
 from lmgcycle.ensemble import _BLOCK_ELEMENTS
 from lmgcycle.sweep import _sweep_columns, _SweepColumns
 
@@ -129,6 +130,28 @@ class TestSweep:
     def test_windowed_large_system_matches_single_cycles(self):
         grid = tuple(float(v) for v in np.linspace(0.0, 4.0, 9))
         self._assert_rows_are_single_cycles(SweepSpec(20_000, 0.3, 0.2, 4.0, grid))
+
+    def test_hot_rows_of_many_widths_match_single_cycles(self):
+        # Rows past the critical field get windows of their own widths,
+        # or span the whole ladder, so the block is evaluated in several
+        # groups of window width and ground position.
+        grid = tuple(float(v) for v in np.linspace(0.0, 4.0, 17))
+        self._assert_rows_are_single_cycles(SweepSpec(20_000, 80.0, 40.0, 4.0, grid))
+
+    def test_past_critical_rows_form_few_levels(self, monkeypatch):
+        # The large-N benchmark's hot sweep: a window bounded by the
+        # Gaussian reach alone forms 2 270 144 level values here, most of
+        # them flushed in the six rows past the critical field.
+        formed = []
+        window = ensemble._window
+
+        def counting(n, beta, lam, start, width, keep, edge):
+            formed.append(width * (lam.size if isinstance(lam, np.ndarray) else 1))
+            return window(n, beta, lam, start, width, keep, edge)
+
+        monkeypatch.setattr(ensemble, "_window", counting)
+        sweep_lambda1(SweepSpec(1_000_000, 80.0, 40.0, 4.0, (0.0, 2.0, 4.0)))
+        assert sum(formed) <= 2_270_144 / 3
 
     def test_equal_fields_and_crossings_match_single_cycles(self):
         n = 6
