@@ -144,9 +144,10 @@ def _ladder(n: int, betas, lams, populations: bool = False) -> _Ladder:
     _window_width) with the per-level arithmetic of a full-ladder sum:
     energies from the ladder expression, weights exp(-beta E - top) with
     top = -beta E_min, occupations below POPULATION_FLUSH flushed to
-    zero, and S = ln(sum w) + beta * excess.  On windowed ladders past
-    the critical field the ground weight, the last of the window, is
-    added to sum w after the others (see _window).
+    zero, and S = ln(sum w) + beta * excess.  Past the critical field,
+    in rows whose window is narrower than the ladder, the ground weight,
+    the last of the window, is added to sum w after the others (see
+    _window); whole-ladder rows sum every weight at once.
 
     Logits -beta E - top below c = -(ln(1/POPULATION_FLUSH) + 1) are
     raised to c before exponentiation.  The ground weight is exactly 1,
@@ -172,7 +173,7 @@ def _ladder(n: int, betas, lams, populations: bool = False) -> _Ladder:
         beta = betas[0]
         width = n + 1 if short else _window_width(n, beta, lam[0])
         start = _window_start(n, lam, width)
-        edge = not short and lam[0] > 1.0
+        edge = start is not None and lam[0] > 1.0
         floor, excess, total, kept = _window(n, beta, lam[0], start, width, populations, edge)
     else:
         beta = np.repeat(np.asarray(betas, dtype=np.float64), lams.size)
@@ -180,11 +181,12 @@ def _ladder(n: int, betas, lams, populations: bool = False) -> _Ladder:
         if short:
             runs = [(n + 1, False, 0, lam.size)]
         else:
-            widths = [_window_width(n, b, x) for b, x in zip(beta.tolist(), lam.tolist())]
+            widths = np.array([_window_width(n, b, x) for b, x in zip(beta.tolist(), lam.tolist())])
             # Rows sharing a width and a ground position are contiguous
-            # once sorted by this key.  The widest come first, so the
-            # reused arrays grow once instead of once per width.
-            keys = 2 * np.array(widths) + (lam > 1.0)
+            # once sorted by this key; the odd keys are windowed rows past
+            # the critical field.  The widest come first, so the reused
+            # arrays grow once instead of once per width.
+            keys = 2 * widths + ((lam > 1.0) & (widths <= n))
             order = np.argsort(-keys, kind="stable")
             beta, lam, keys = beta[order], lam[order], keys[order]
             bounds = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), lam.size]
@@ -245,9 +247,10 @@ def _window(n: int, beta, lam, start, width: int, keep: bool, edge: bool):
     rows span the whole ladder.  The populations cover the whole ladder
     in an owned array when keep is set, and are None otherwise.  edge
     says that each row's ground level, whose weight is 1, is the last
-    level of its window.  That weight is then added after the others
-    are summed, so the sum near 1 is rounded once, and does not depend
-    on how the pairwise sum of a wider or narrower window groups it.
+    level of a window narrower than the ladder.  That weight is then
+    added after the others are summed, so the sum near 1 is rounded
+    once, and does not depend on how the pairwise sum of a wider or
+    narrower window groups it.
     """
     rows = isinstance(lam, np.ndarray)
     column = (lambda v: v[:, None]) if rows else (lambda v: v)
@@ -277,15 +280,7 @@ def _window(n: int, beta, lam, start, width: int, keep: bool, edge: bool):
         )
     weights = np.multiply(column(-beta), energies, out=weights)
     weights -= column(top)
-    # The cut costs a pass over the chunk.  Large chunks skip it when no
-    # logit can fall below it: no level lies more than n (1 + lam)^2 / 2
-    # above the ground level.
-    cut = size < _SCRATCH_MIN
-    if not cut:
-        beta_max, lam_max = (beta.max(), lam.max()) if rows else (beta, lam)
-        cut = beta_max * n * (1.0 + lam_max) ** 2 / 2.0 > -_EXP_CUT
-    if cut:
-        np.maximum(weights, _EXP_CUT, out=weights)
+    np.maximum(weights, _EXP_CUT, out=weights)
     np.exp(weights, out=weights)
     total = weights[..., :-1].sum(axis=-1) + weights[..., -1] if edge else weights.sum(axis=-1)
     weights /= column(total)

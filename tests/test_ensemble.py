@@ -220,17 +220,25 @@ def _full_ladder(spec, temperature):
     return top + log_norm, excess, log_norm + beta * excess, populations
 
 
+# Fields past the critical one, where the ground level is the edge
+# 2M = n and the window is bounded by the gap to it.
+_PAST_CRITICAL = {"past-1+1e-6": 1.0 + 1e-6, "past-1.3": 1.3, "past-2": 2.0, "past-4": 4.0}
+
+
 @pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
-@pytest.mark.parametrize("where", ["below", "crossing", "above"])
+@pytest.mark.parametrize("where", ["below", "crossing", "above", *_PAST_CRITICAL])
 def test_window_matches_full_ladder(n, where):
     crossings = level_crossings(n)
-    lam = {"below": 0.37, "crossing": crossings[len(crossings) // 2], "above": 1.7}[where]
+    lam = {"below": 0.37, "crossing": crossings[len(crossings) // 2], "above": 1.7, **_PAST_CRITICAL}[where]
     spec = ModelSpec(n, lam)
     labels = allowed_twice_m(n)
     # Levels the window may drop carry populations below the flush, so
     # sums over the ladder can only differ by that much in absolute terms.
     dropped = (n + 1) * POPULATION_FLUSH
-    for temperature in (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3, math.inf):
+    temperatures = (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3, math.inf)
+    if where in _PAST_CRITICAL:
+        temperatures += (1e2, 1e4)
+    for temperature in temperatures:
         state = thermal_state(spec, temperature)
         log_z, excess, entropy, populations = _full_ladder(spec, temperature)
         assert state.log_z == pytest.approx(log_z, rel=1e-12, abs=dropped)
@@ -239,36 +247,20 @@ def test_window_matches_full_ladder(n, where):
         assert abs(state.populations.sum() - 1.0) <= 1e-12
         if math.isinf(temperature):
             continue
-        # The window's bound: levels further than this from the ground
-        # label in 2M have populations below POPULATION_FLUSH.
-        ground = labels[int(populations.argmax())]
-        reach = 1.0 + math.sqrt(2.0 * n * math.log(1.0 / POPULATION_FLUSH) * temperature + 1.0)
-        outside = np.abs(labels - ground) > reach
+        if where in _PAST_CRITICAL:
+            # The gap bound D: levels further than this from the edge
+            # label 2M = n have populations below POPULATION_FLUSH.
+            spread = 2.0 * math.log(1.0 / POPULATION_FLUSH) * temperature
+            bound = spread / ((lam - 1.0) + math.sqrt((lam - 1.0) ** 2 + spread / n))
+            outside = n - labels > bound
+        else:
+            # The window's bound: levels further than this from the ground
+            # label in 2M have populations below POPULATION_FLUSH.
+            ground = labels[int(populations.argmax())]
+            reach = 1.0 + math.sqrt(2.0 * n * math.log(1.0 / POPULATION_FLUSH) * temperature + 1.0)
+            outside = np.abs(labels - ground) > reach
         assert (state.populations[outside] == 0.0).all()
         assert (populations[outside] == 0.0).all()
-
-
-@pytest.mark.parametrize("n", [1_000, 10_000, 100_000])
-@pytest.mark.parametrize("lam", [1.0 + 1e-6, 1.3, 2.0, 4.0])
-def test_window_past_critical_field_matches_full_ladder(n, lam):
-    # Past lam = 1 the ground level is the edge 2M = n, and every level
-    # whose 2M distance from it exceeds the gap bound D is flushed.
-    spec = ModelSpec(n, lam)
-    labels = allowed_twice_m(n)
-    dropped = (n + 1) * POPULATION_FLUSH
-    flush_log = math.log(1.0 / POPULATION_FLUSH)
-    for temperature in (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e2, 1e3, 1e4):
-        state = thermal_state(spec, temperature)
-        log_z, excess, entropy, populations = _full_ladder(spec, temperature)
-        assert state.log_z == pytest.approx(log_z, rel=1e-12, abs=dropped)
-        assert state.excess_energy == pytest.approx(excess, rel=1e-12, abs=dropped)
-        assert state.entropy == pytest.approx(entropy, rel=1e-12, abs=dropped)
-        assert abs(state.populations.sum() - 1.0) <= 1e-12
-        spread = 2.0 * flush_log * temperature
-        bound = spread / ((lam - 1.0) + math.sqrt((lam - 1.0) ** 2 + spread / n))
-        outside = n - labels > bound
-        assert (populations[outside] == 0.0).all()
-        assert (state.populations[outside] == 0.0).all()
 
 
 def _unfloored_row(n, beta, lam):
@@ -278,8 +270,7 @@ def _unfloored_row(n, beta, lam):
     cut that raises logits far below the flush before np.exp: every
     logit is exponentiated as it is.
     """
-    windowed = n + 1 >= _WINDOW_MIN_LEVELS
-    width = _window_width(n, beta, lam) if windowed else n + 1
+    width = _window_width(n, beta, lam) if n + 1 >= _WINDOW_MIN_LEVELS else n + 1
     start = 0.0
     if width <= n:
         start = float(np.clip(np.rint((n + n * lam) / 2.0) - width // 2, 0, n + 1 - width))
@@ -288,8 +279,9 @@ def _unfloored_row(n, beta, lam):
     logits = -beta * energies - (-beta * low)
     with np.errstate(under="ignore"):
         weights = np.exp(logits)
-    # Past the critical field the ground weight, the last one, is added last.
-    weights /= weights[:-1].sum() + weights[-1] if windowed and lam > 1.0 else weights.sum()
+    # Past the critical field the ground weight, the last of a window
+    # narrower than the ladder, is added last.
+    weights /= weights[:-1].sum() + weights[-1] if width <= n and lam > 1.0 else weights.sum()
     weights[weights < POPULATION_FLUSH] = 0.0
     populations = np.zeros(n + 1)
     populations[int(start) : int(start) + width] = weights
@@ -310,6 +302,19 @@ def test_exponent_cut_changes_no_float(n, lam, temperature):
     block = _ladder(n, (beta,), (lam,), populations=True)
     assert (block.populations[0][0] == populations).all()
     assert block.excess[0][0] == excess
+
+
+@pytest.mark.parametrize("n, lam, temperature", [(1_000, 2.0, 1e3), (256, 1.3, 1e3)])
+def test_whole_ladder_past_critical_field_sums_weights_at_once(n, lam, temperature):
+    # A row past the critical field whose window spans the ladder sums
+    # all its weights at once, the ground weight among them, as the
+    # whole-ladder sum always did.
+    beta = 1.0 / temperature
+    assert _window_width(n, beta, lam) == n + 1
+    populations, excess, _ = _unfloored_row(n, beta, lam)
+    state = thermal_state(ModelSpec(n, lam), temperature)
+    assert (state.populations == populations).all()
+    assert state.excess_energy == excess
 
 
 def test_block_assembles_populations_only_on_request():
