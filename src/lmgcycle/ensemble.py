@@ -27,6 +27,8 @@ POPULATION_FLUSH = 1e-300
 _FLUSH_LOG = -math.log(POPULATION_FLUSH)
 # Logits are raised to this cut before np.exp (see _ladder).
 _EXP_CUT = -(_FLUSH_LOG + 1.0)
+# Sums keep the levels that can change them by 2^-60 of their value.
+_RESOLVE_LOG = 60.0 * math.log(2.0)
 
 # Level values one kernel chunk may hold; a block with more rows is
 # evaluated in chunks of whole rows, so memory stays bounded.
@@ -81,16 +83,13 @@ class ThermalState:
 _Ladder = namedtuple("_Ladder", "floor excess entropy log_z populations", defaults=(None,))
 
 
-def _window_width(n: int, beta: float, lam: float) -> int:
+def _window_width(n: int, beta: float, lam: float, populations: bool = False) -> int:
     """Levels in the window of the row at inverse temperature beta and field lam.
 
-    The ground weight is 1, so the partition sum is >= 1, and a level
-    whose weight exp(-beta (E_t - E_min)) is below POPULATION_FLUSH has
-    a population below it, which the full-ladder sum flushes to zero
-    anyway.  Dropping those levels therefore changes nothing but the
-    order of summation.  With s = 2 n ln(1/POPULATION_FLUSH) / beta and
-    t0 the ground 2M label, 2n (E_t - E_min) = (t - n lam)^2 -
-    (t0 - n lam)^2, and a level can only be kept if that is <= s:
+    A window holds every level whose depth beta (E_t - E_min) is at most
+    K.  With s = 2 n K / beta and t0 the ground 2M label, 2n (E_t -
+    E_min) = (t - n lam)^2 - (t0 - n lam)^2, and a level can only be
+    kept if that is <= s:
 
     * Up to the critical field (lam <= 1), t0 is any label with
       |t0 - n lam| <= 1 (or the clipped edge), so 2n (E_t - E_min) >=
@@ -98,22 +97,51 @@ def _window_width(n: int, beta: float, lam: float) -> int:
       |t - t0| <= 1 + sqrt(s + 1), plus one level on each side.
     * Past it (lam > 1), t0 is the edge label n.  With d = n - t and
       g = n (lam - 1), 2n (E_t - E_min) = 2 g d + d^2, so every level
-      with d > D = s / (g + sqrt(g^2 + s)) is flushed.  A level step
-      costs about 2 (lam - 1) there, so D is far below the reach of the
-      first case, and it hardly depends on n once g^2 >> s.  The window
+      with d > D = s / (g + sqrt(g^2 + s)) is deeper than K.  The window
       keeps the int(D/2) + 1 levels next to the edge plus one more,
       rounded up to a multiple of _WINDOW_MIN_LEVELS, or above 32 such
       multiples to one of 16 widths per octave.  A sweep's rows then
-      share a few widths, and so a few kernel calls, each of which costs
-      more than the levels the rounding adds.
+      share a few widths, and so a few kernel calls.
 
     The extra level absorbs the rounding of the float energies.  Rows
     whose window would span the ladder keep every level, among them
     beta = 0 and temperatures so high that s overflows.
+
+    The populations window has K = L = ln(1/POPULATION_FLUSH): the
+    ground weight is 1, so sum w >= 1, and every level it drops has a
+    population below POPULATION_FLUSH, which a full-ladder sum flushes.
+    The sum window, the default, has K = u + ln(n (n + 1) L / (2 beta))
+    + 60 ln 2, with u = 4 beta / n for lam <= 1 and u = 2 beta (g + 1) / n
+    past it; where that is >= L the row is frozen and keeps K = L.  The
+    levels it drops change sum w - 1 and the excess sum (E - E_min) w
+    by less than 2^-60 of their kept values:
+
+    * A kept level has depth <= u and gap E - E_min >= 2/n, so the kept
+      values are >= e^-u and >= (2/n) e^-u.  Past the critical field it
+      is the level d = 2, with gap 2 (g + 1) / n and depth u.  Below it,
+      with e = t0 - n lam, the neighbours t0 -+ 2 lie (4 -+ 4e) / (2n)
+      above the ground, and the further one qualifies.  At the clipped
+      edge t0 = n, e >= 0, and levels n - 2 and n - 4 lie p / (2n) and
+      (8 + 2p) / (2n) above it, with p = 4 - 4e in [0, 4].  So n - 2 has
+      depth <= u / 2, and with x = beta / n the two levels' terms
+      2n (E - E_min) w sum to >= 4 e^-4x: n - 4 alone if xp <= ln 2,
+      else n - 2 alone, by a factor p 2^(4/p - 1/2) / 4 >= 1.3.  As
+      K >= u, the window holds these levels.
+    * A dropped level has depth y >= K >= 1, so w <= e^-K and
+      beta (E - E_min) w = y e^-y < L e^-K.  The at most n + 1 dropped
+      levels add <= (n + 1) e^-K = 2^-60 e^-u / (n L / (2 beta)) and
+      <= (n + 1) L e^-K / beta = 2^-60 (2/n) e^-u, and n L / (2 beta)
+      >= 1 wherever K < L.
     """
     if beta == 0.0:
         return n + 1
-    spread = 2.0 * n * _FLUSH_LOG / beta
+    depth = _FLUSH_LOG
+    if not populations:
+        u = 4.0 * beta / n if lam <= 1.0 else 2.0 * beta * (n * (lam - 1.0) + 1.0) / n
+        # A depth u >= L makes K >= L; the log's argument may then be 0.
+        if u < _FLUSH_LOG:
+            depth = min(depth, u + math.log(n * (n + 1) * _FLUSH_LOG / (2.0 * beta)) + _RESOLVE_LOG)
+    spread = 2.0 * n * depth / beta
     if lam > 1.0:
         g = n * (lam - 1.0)
         reach = spread / (g + math.sqrt(g * g + spread))
@@ -140,7 +168,7 @@ def _window_start(n: int, lam, width: int):
 def _ladder(n: int, betas, lams, populations: bool = False) -> _Ladder:
     """Thermodynamics of every (beta, field) pair of one system.
 
-    Each row evaluates the level window around its ground level (see
+    Each row sums the sum window around its ground level (see
     _window_width) with the per-level arithmetic of a full-ladder sum:
     energies from the ladder expression, weights exp(-beta E - top) with
     top = -beta E_min, occupations below POPULATION_FLUSH flushed to
@@ -157,24 +185,38 @@ def _ladder(n: int, betas, lams, populations: bool = False) -> _Ladder:
     bit.  So the cut changes no float, and it keeps np.exp off its slow
     subnormal and underflowing arguments.
 
-    The window depends on the row's own (n, beta, lam), rows sharing a
+    The windows depend on the row's own (n, beta, lam), rows sharing a
     window width and ground position are evaluated together in chunks,
     and every reduction runs along the contiguous level axis of its
     row, so a row's floats do not depend on the rest of the block: a
     sweep row equals the lone row of thermal_state or run_cycle bit for
-    bit.
+    bit.  Rows whose populations are kept form their populations window,
+    and sum its slice that is their sum window.
     """
     lams = np.asarray(lams, dtype=np.float64)
     short = n + 1 < _WINDOW_MIN_LEVELS
+    shape = (len(betas), lams.size)
     lam = lams if len(betas) == 1 else np.concatenate([lams] * len(betas))
+    keep = populations
+    if populations and not short and lam.size > 1:
+        # Each row's populations have their own windows: rows run alone.
+        rows = [_ladder(n, (b,), (x,), True) for b in betas for x in lams.tolist()]
+        fields = (np.array([row[k][0][0] for row in rows]) for k in range(5))
+        return _Ladder(*(f.reshape(shape + f.shape[1:]) for f in fields))
     if lam.size == 1:
-        # A lone row runs on 1-D arrays and numpy scalars, which numpy
+        # A lone row runs on 1-D arrays and scalars, which numpy
         # evaluates faster.
-        beta = betas[0]
-        width = n + 1 if short else _window_width(n, beta, lam[0])
-        start = _window_start(n, lam, width)
-        edge = start is not None and lam[0] > 1.0
-        floor, excess, total, kept = _window(n, beta, lam[0], start, width, populations, edge)
+        beta, x = float(betas[0]), float(lam[0])
+        width = n + 1 if short else _window_width(n, beta, x)
+        start = _window_start(n, x, width)
+        edge = start is not None and x > 1.0
+        if populations and not short:
+            # The sum window is a slice of the populations window.
+            wide = _window_width(n, beta, x, populations=True)
+            first = _window_start(n, x, wide)
+            offset = int((start or 0) - (first or 0))
+            start, width, keep = first, wide, slice(offset, offset + width)
+        floor, excess, total, kept = _window(n, beta, x, start, width, keep, edge)
     else:
         beta = np.repeat(np.asarray(betas, dtype=np.float64), lams.size)
         order = None
@@ -197,7 +239,7 @@ def _ladder(n: int, betas, lams, populations: bool = False) -> _Ladder:
             for i in range(first, last, step):
                 rows = slice(i, min(i + step, last))
                 start = _window_start(n, lam[rows], width)
-                parts.append(_window(n, beta[rows], lam[rows], start, width, populations, edge))
+                parts.append(_window(n, beta[rows], lam[rows], start, width, keep, edge))
         floor, excess, total, kept = (
             c[0] if len(c) == 1 or c[0] is None else np.concatenate(c) for c in zip(*parts)
         )
@@ -208,7 +250,6 @@ def _ladder(n: int, betas, lams, populations: bool = False) -> _Ladder:
             kept = None if kept is None else kept[inverse]
     log_norm = np.log(total)
     fields = (floor, excess, log_norm + beta * excess, -beta * floor + log_norm)
-    shape = (len(betas), lams.size)
     if lam.size == 1:
         fields = [[[value]] for value in fields]
     else:
@@ -239,18 +280,19 @@ _SCRATCH = _Scratch()
 _SCRATCH_MIN = 1 << 12
 
 
-def _window(n: int, beta, lam, start, width: int, keep: bool, edge: bool):
+def _window(n: int, beta, lam, start, width: int, keep, edge: bool):
     """Floor, excess, weight sum and populations of a chunk of rows.
 
     beta and lam hold one value per row, or are scalars for a lone row,
     and start holds each row's first level index, or is None when the
     rows span the whole ladder.  The populations cover the whole ladder
-    in an owned array when keep is set, and are None otherwise.  edge
-    says that each row's ground level, whose weight is 1, is the last
-    level of a window narrower than the ladder.  That weight is then
-    added after the others are summed, so the sum near 1 is rounded
-    once, and does not depend on how the pairwise sum of a wider or
-    narrower window groups it.
+    in an owned array when keep is set, and are None otherwise.  The
+    sums run over the whole window, or over keep when it is a slice of
+    the window's levels.  edge says that each row's ground level, whose
+    weight is 1, is the last level of a sum window narrower than the
+    ladder.  That weight is then added after the others are summed, so
+    the sum near 1 is rounded once, and does not depend on how the
+    pairwise sum of a wider or narrower window groups it.
     """
     rows = isinstance(lam, np.ndarray)
     column = (lambda v: v[:, None]) if rows else (lambda v: v)
@@ -270,9 +312,14 @@ def _window(n: int, beta, lam, start, width: int, keep: bool, edge: bool):
     labels = np.add(steps, float(-n) if start is None else column(2.0 * start - n), out=energies)
     energies = _level_energy(n, labels, column(lam), out=energies)
     low = energies.min(axis=-1)
-    top = -beta * low
     # top >= 0, so its maximum is finite unless some row overflowed, and
-    # the shift below would then form inf - inf.
+    # the shift below would then form inf - inf.  The check reports that,
+    # so the overflow need not warn (Python floats, cheaper, never do).
+    if rows:
+        with np.errstate(over="ignore"):
+            top = -beta * low
+    else:
+        top = -beta * float(low)
     if not math.isfinite(top.max() if rows else top):
         raise ValueError(
             f"temperature too low: beta={float(np.max(beta))!r} times the ground "
@@ -282,11 +329,13 @@ def _window(n: int, beta, lam, start, width: int, keep: bool, edge: bool):
     weights -= column(top)
     np.maximum(weights, _EXP_CUT, out=weights)
     np.exp(weights, out=weights)
-    total = weights[..., :-1].sum(axis=-1) + weights[..., -1] if edge else weights.sum(axis=-1)
+    sums = weights[..., keep] if isinstance(keep, slice) else weights
+    total = sums[..., :-1].sum(axis=-1) + sums[..., -1] if edge else sums.sum(axis=-1)
     weights /= column(total)
     weights[np.less(weights, POPULATION_FLUSH, out=flushed)] = 0.0
     energies -= column(low)
     energies *= weights
+    excess = (energies[..., keep] if isinstance(keep, slice) else energies).sum(axis=-1)
     populations = None
     if keep and start is None:
         # The next chunk overwrites the reused arrays.
@@ -296,7 +345,7 @@ def _window(n: int, beta, lam, start, width: int, keep: bool, edge: bool):
         np.put_along_axis(
             populations, column(start.astype(np.intp)) + np.arange(width), weights, axis=-1
         )
-    return low, energies.sum(axis=-1), total, populations
+    return low, excess, total, populations
 
 
 def _row_state(

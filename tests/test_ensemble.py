@@ -19,7 +19,7 @@ from lmgcycle import (
     thermal_state,
 )
 from lmgcycle.core import _level_energy
-from lmgcycle.ensemble import _BLOCK_ELEMENTS, _WINDOW_MIN_LEVELS, _ladder, _window_width
+from lmgcycle.ensemble import _BLOCK_ELEMENTS, _WINDOW_MIN_LEVELS, _ladder, _window_start, _window_width
 
 
 class TestLogPartition:
@@ -141,10 +141,12 @@ class TestThermalState:
         assert state.entropy == 0.0
 
     def test_huge_finite_temperature_is_uniform(self):
-        # Used to raise OverflowError, while T = 1e300 and T = inf worked.
-        state = thermal_state(ModelSpec(1000, 0.5), 1e306)
-        assert state.populations == pytest.approx([1 / 1001] * 1001, rel=1e-14)
-        assert state.entropy == pytest.approx(math.log(1001), rel=1e-14)
+        # Used to raise OverflowError, while T = 1e300 and T = inf worked;
+        # past the critical field the window's overflowed reach also warned.
+        for lam in (0.5, 2.0):
+            state = thermal_state(ModelSpec(1000, lam), 1e306)
+            assert state.populations == pytest.approx([1 / 1001] * 1001, rel=1e-14)
+            assert state.entropy == pytest.approx(math.log(1001), rel=1e-14)
 
     def test_entropy_increases_with_temperature(self):
         model = ModelSpec(6, 0.7)
@@ -235,7 +237,7 @@ def test_window_matches_full_ladder(n, where):
     # Levels the window may drop carry populations below the flush, so
     # sums over the ladder can only differ by that much in absolute terms.
     dropped = (n + 1) * POPULATION_FLUSH
-    temperatures = (1e-3, 1e-2, 0.1, 1.0, 10.0, 1e3, math.inf)
+    temperatures = (1e-3, 1e-2, 0.1, 1.0, 10.0, 40.0, 80.0, 1e3, math.inf)
     if where in _PAST_CRITICAL:
         temperatures += (1e2, 1e4)
     for temperature in temperatures:
@@ -263,30 +265,78 @@ def test_window_matches_full_ladder(n, where):
         assert (populations[outside] == 0.0).all()
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=256, max_value=20_000),
+    st.floats(min_value=math.log(1e-3), max_value=math.log(1e4)),
+    st.data(),
+)
+def test_sum_window_drops_what_its_sums_cannot_resolve(n, log_temperature, data):
+    # Levels outside a row's sum window carry less than 2^-60 of the
+    # kept sum w - 1 and of the kept excess sum (E - E_min) w, summed
+    # exactly over the whole ladder.  Frozen rows keep the populations
+    # window instead.
+    lam = data.draw(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=5.0),
+            st.sampled_from([1.0 - 1e-9, 1.0 + 1e-9]),
+            st.integers(min_value=0, max_value=(n - 2) // 2).map(lambda k: (2 * k + 1) / n),
+        )
+    )
+    beta = math.exp(-log_temperature)
+    width = _window_width(n, beta, lam)
+    flush = math.log(1.0 / POPULATION_FLUSH)
+    u = 4.0 * beta / n if lam <= 1.0 else 2.0 * beta * (n * (lam - 1.0) + 1.0) / n
+    if u + math.log(n * (n + 1) * flush / (2.0 * beta)) + 60.0 * math.log(2.0) >= flush:
+        assert width == _window_width(n, beta, lam, populations=True)
+        return
+    labels = allowed_twice_m(n).astype(np.float64)
+    ground = int(energy_levels(ModelSpec(n, lam)).argmin())
+    # Gaps from the gap form, which keeps their digits near the ground.
+    gaps = (labels - labels[ground]) * (labels + labels[ground] - 2.0 * n * lam) / (2.0 * n)
+    weights = np.exp(-beta * gaps)
+    start = _window_start(n, lam, width)
+    window = np.zeros(n + 1, dtype=bool)
+    window[slice(None) if start is None else slice(int(start), int(start) + width)] = True
+    assert window[ground]
+    kept = window.copy()
+    kept[ground] = False
+    for values in (weights, gaps * weights):
+        assert math.fsum(values[~window]) < 2.0**-60 * math.fsum(values[kept])
+
+
 def _unfloored_row(n, beta, lam):
     """Populations, excess and logits below the cut of one row.
 
-    The kernel's per-level arithmetic over the same window, without the
+    The kernel's per-level arithmetic over the same windows, without the
     cut that raises logits far below the flush before np.exp: every
-    logit is exponentiated as it is.
+    logit is exponentiated as it is.  The populations span the
+    populations window and are normalised by the weight sum over the sum
+    window, a slice of it, over which the excess is summed too.
     """
-    width = _window_width(n, beta, lam) if n + 1 >= _WINDOW_MIN_LEVELS else n + 1
-    start = 0.0
-    if width <= n:
-        start = float(np.clip(np.rint((n + n * lam) / 2.0) - width // 2, 0, n + 1 - width))
+    def window(width):
+        if width > n:
+            return 0, n + 1
+        return int(np.clip(np.rint((n + n * lam) / 2.0) - width // 2, 0, n + 1 - width)), width
+
+    short = n + 1 < _WINDOW_MIN_LEVELS
+    start, width = window(n + 1 if short else _window_width(n, beta, lam, populations=True))
+    first, count = window(n + 1 if short else _window_width(n, beta, lam))
+    sums = slice(first - start, first - start + count)
     energies = _level_energy(n, np.arange(0.0, 2.0 * width, 2.0) + (2.0 * start - n), lam)
     low = energies.min()
     logits = -beta * energies - (-beta * low)
     with np.errstate(under="ignore"):
         weights = np.exp(logits)
-    # Past the critical field the ground weight, the last of a window
+    # Past the critical field the ground weight, the last of a sum window
     # narrower than the ladder, is added last.
-    weights /= weights[:-1].sum() + weights[-1] if width <= n and lam > 1.0 else weights.sum()
+    kept = weights[sums]
+    weights /= kept[:-1].sum() + kept[-1] if count <= n and lam > 1.0 else kept.sum()
     weights[weights < POPULATION_FLUSH] = 0.0
     populations = np.zeros(n + 1)
-    populations[int(start) : int(start) + width] = weights
+    populations[start : start + width] = weights
     below_cut = int((logits < -(math.log(1.0 / POPULATION_FLUSH) + 1.0)).sum())
-    return populations, ((energies - low) * weights).sum(), below_cut
+    return populations, ((energies - low) * weights)[sums].sum(), below_cut
 
 
 @pytest.mark.parametrize(

@@ -139,19 +139,28 @@ class TestSweep:
         self._assert_rows_are_single_cycles(SweepSpec(20_000, 80.0, 40.0, 4.0, grid))
 
     def test_past_critical_rows_form_few_levels(self, monkeypatch):
-        # The large-N benchmark's hot sweep: a window bounded by the
-        # Gaussian reach alone forms 2 270 144 level values here, most of
-        # them flushed in the six rows past the critical field.
+        # The large-N benchmark's hot sweeps.  Windows bounded by the
+        # 1e-300 population flush form 636 656, 705 554 and 721 132 level
+        # values here, most of them too deep to change any sum; the
+        # Gaussian reach alone forms 2 270 144 in the first.
         formed = []
         window = ensemble._window
 
-        def counting(n, beta, lam, start, width, keep, edge):
+        def counting(n, beta, lam, start, width, *rest):
             formed.append(width * (lam.size if isinstance(lam, np.ndarray) else 1))
-            return window(n, beta, lam, start, width, keep, edge)
+            return window(n, beta, lam, start, width, *rest)
 
         monkeypatch.setattr(ensemble, "_window", counting)
-        sweep_lambda1(SweepSpec(1_000_000, 80.0, 40.0, 4.0, (0.0, 2.0, 4.0)))
-        assert sum(formed) <= 2_270_144 / 3
+        for n, points, flush_window in ((1_000_000, 3, 636_656), (100_000, 9, 705_554), (10_000, 41, 721_132)):
+            formed.clear()
+            grid = tuple(float(v) for v in np.linspace(0.0, 4.0, points))
+            sweep_lambda1(SweepSpec(n, 80.0, 40.0, 4.0, grid))
+            assert sum(formed) <= flush_window / 2
+        # The benchmark's cold N = 1e4 sweep: narrower windows must not
+        # split it into more kernel chunks than the 5 of flush windows.
+        formed.clear()
+        sweep_lambda1(SweepSpec(10_000, 0.3, 0.2, 4.0, tuple(float(v) for v in np.linspace(0.0, 4.0, 41))))
+        assert len(formed) <= 5
 
     def test_equal_fields_and_crossings_match_single_cycles(self):
         n = 6
