@@ -95,10 +95,7 @@ def carnot_bound(t_hot: float, t_cold: float) -> float:
     return 1.0 - t_cold / t_hot
 
 
-def _corner_block(
-    n: int, t_hot: float, t_cold: float, lambda2: float, lambda1s, backend: str,
-    populations: bool = False,
-) -> _Ladder:
+def _corner_block(n: int, t_hot: float, t_cold: float, lambda2: float, lambda1s, backend: str) -> _Ladder:
     """All corners of the cycles sharing n, the baths and lambda2.
 
     Row [0] is the hot bath and [1] the cold one.  Column 0 holds
@@ -109,7 +106,7 @@ def _corner_block(
     """
     if backend == "exact":
         lams = np.concatenate(([lambda2], lambda1s))
-        return _ladder(n, (1.0 / t_hot, 1.0 / t_cold), lams, populations)
+        return _ladder(n, (1.0 / t_hot, 1.0 / t_cold), lams)
     models = [ModelSpec(n, lam) for lam in (lambda2, *map(float, lambda1s))]
     states = [[integral_state(model, t) for model in models] for t in (t_hot, t_cold)]
     log_z, energy, entropy = ([[state[k] for state in row] for row in states] for k in range(3))
@@ -148,9 +145,7 @@ def run_cycle(spec: CycleSpec, energy_offset: float = 0.0) -> CycleResult:
     efficiency unchanged bit for bit.
     """
     _check_offset(energy_offset)
-    block = _corner_block(
-        spec.n, spec.t_hot, spec.t_cold, spec.lambda2, (spec.lambda1,), spec.backend, True
-    )
+    block = _corner_block(spec.n, spec.t_hot, spec.t_cold, spec.lambda2, (spec.lambda1,), spec.backend)
     model_2, model_1 = ModelSpec(spec.n, spec.lambda2), ModelSpec(spec.n, spec.lambda1)
     corners = (
         _row_state(model_2, spec.t_hot, block, 0, 0, energy_offset),

@@ -11,10 +11,13 @@ losing it to rounding.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import sys
 import threading
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -27,6 +30,10 @@ POPULATION_FLUSH = 1e-300
 _FLUSH_LOG = -math.log(POPULATION_FLUSH)
 # Logits are raised to this cut before np.exp (see _ladder).
 _EXP_CUT = -(_FLUSH_LOG + 1.0)
+# Below this bound on beta |E| no logit or shift can overflow (see _ladder),
+# and blocks run in a reusable do-nothing context in place of np.errstate.
+_LOGIT_MAX = sys.float_info.max / 2.0
+_IN_RANGE = contextlib.nullcontext()
 # Sums keep the levels that can change them by 2^-60 of their value.
 _RESOLVE_LOG = 60.0 * math.log(2.0)
 
@@ -53,7 +60,9 @@ class ThermalState:
         Log partition function, including any energy offset.  Reported
         as math.inf for the symbolic zero-temperature state.
     populations : numpy.ndarray or None
-        Occupation per level, ordered by ascending 2M.  None for states
+        Occupation per level, ordered by ascending 2M, read-only.
+        Formed on first read and kept, so states whose populations are
+        never read cost one pass over their levels.  None for states
         produced by the thermodynamic-limit backend, which never forms
         level-resolved occupations.
     internal_energy : float
@@ -69,18 +78,32 @@ class ThermalState:
     spec: ModelSpec
     temperature: float
     log_z: float
-    populations: np.ndarray | None
     internal_energy: float
     entropy: float
     energy_floor: float
     excess_energy: float
+    # What the populations are formed from: (beta, E_min, weight sum)
+    # of a finite-temperature row, the ground mask at T = 0, or None.
+    _source: object = field(default=None, repr=False, compare=False)
+
+    @cached_property
+    def populations(self) -> np.ndarray | None:
+        source = self._source
+        if source is None:
+            return None
+        if isinstance(source, np.ndarray):
+            populations = source / np.count_nonzero(source)
+        else:
+            populations = _populations(self.spec.n, self.spec.lam, *source)
+        populations.setflags(write=False)
+        return populations
 
 
 # Corner results for every (beta, field) pair, indexed [beta][field]:
 # arrays for a block of rows, nested lists for a lone row and for
-# scalar corner evaluations.  log_z excludes any energy offset;
-# populations (whole ladders) are only kept on request.
-_Ladder = namedtuple("_Ladder", "floor excess entropy log_z populations", defaults=(None,))
+# scalar corner evaluations.  log_z excludes any energy offset; total,
+# each row's weight sum, is None for corners formed without levels.
+_Ladder = namedtuple("_Ladder", "floor excess entropy log_z total", defaults=(None,))
 
 
 def _window_width(n: int, beta: float, lam: float, populations: bool = False) -> int:
@@ -107,10 +130,11 @@ def _window_width(n: int, beta: float, lam: float, populations: bool = False) ->
     whose window would span the ladder keep every level, among them
     beta = 0 and temperatures so high that s overflows.
 
-    The populations window has K = L = ln(1/POPULATION_FLUSH): the
-    ground weight is 1, so sum w >= 1, and every level it drops has a
-    population below POPULATION_FLUSH, which a full-ladder sum flushes.
-    The sum window, the default, has K = u + ln(n (n + 1) L / (2 beta))
+    The populations window, which only _populations forms, has K = L =
+    ln(1/POPULATION_FLUSH): the ground weight is 1, so sum w >= 1, and
+    every level it drops has a population below POPULATION_FLUSH, which
+    a full-ladder sum flushes.  The sum window, the default and the only
+    one the kernel (_ladder) forms, has K = u + ln(n (n + 1) L / (2 beta))
     + 60 ln 2, with u = 4 beta / n for lam <= 1 and u = 2 beta (g + 1) / n
     past it; where that is >= L the row is frozen and keeps K = L.  The
     levels it drops change sum w - 1 and the excess sum (E - E_min) w
@@ -165,8 +189,8 @@ def _window_start(n: int, lam, width: int):
     return (np.rint((n + n * lam) / 2.0) - width // 2).clip(0, n + 1 - width)
 
 
-def _ladder(n: int, betas, lams, populations: bool = False) -> _Ladder:
-    """Thermodynamics of every (beta, field) pair of one system.
+def _ladder(n: int, betas, lams) -> _Ladder:
+    """Sums of every (beta, field) pair of one system.
 
     Each row sums the sum window around its ground level (see
     _window_width) with the per-level arithmetic of a full-ladder sum:
@@ -175,7 +199,8 @@ def _ladder(n: int, betas, lams, populations: bool = False) -> _Ladder:
     zero, and S = ln(sum w) + beta * excess.  Past the critical field,
     in rows whose window is narrower than the ladder, the ground weight,
     the last of the window, is added to sum w after the others (see
-    _window); whole-ladder rows sum every weight at once.
+    _window); whole-ladder rows sum every weight at once.  Each row's
+    sum w is returned too: _populations forms the populations from it.
 
     Logits -beta E - top below c = -(ln(1/POPULATION_FLUSH) + 1) are
     raised to c before exponentiation.  The ground weight is exactly 1,
@@ -185,38 +210,31 @@ def _ladder(n: int, betas, lams, populations: bool = False) -> _Ladder:
     bit.  So the cut changes no float, and it keeps np.exp off its slow
     subnormal and underflowing arguments.
 
+    Every level has |E| <= n (1 + lam^2) / 2 + 1, so no product beta E,
+    nor the shift of one by another, can overflow while beta times that
+    bound stays below _LOGIT_MAX.  Blocks beyond it are evaluated under
+    np.errstate(over="ignore"), which costs more than the check, and an
+    overflowed ground shift raises ValueError (see _window).
+
     The windows depend on the row's own (n, beta, lam), rows sharing a
     window width and ground position are evaluated together in chunks,
     and every reduction runs along the contiguous level axis of its
     row, so a row's floats do not depend on the rest of the block: a
     sweep row equals the lone row of thermal_state or run_cycle bit for
-    bit.  Rows whose populations are kept form their populations window,
-    and sum its slice that is their sum window.
+    bit.
     """
     lams = np.asarray(lams, dtype=np.float64)
     short = n + 1 < _WINDOW_MIN_LEVELS
     shape = (len(betas), lams.size)
     lam = lams if len(betas) == 1 else np.concatenate([lams] * len(betas))
-    keep = populations
-    if populations and not short and lam.size > 1:
-        # Each row's populations have their own windows: rows run alone.
-        rows = [_ladder(n, (b,), (x,), True) for b in betas for x in lams.tolist()]
-        fields = (np.array([row[k][0][0] for row in rows]) for k in range(5))
-        return _Ladder(*(f.reshape(shape + f.shape[1:]) for f in fields))
     if lam.size == 1:
         # A lone row runs on 1-D arrays and scalars, which numpy
-        # evaluates faster.
+        # evaluates faster, and forms its shift in Python floats, which
+        # never warn.
         beta, x = float(betas[0]), float(lam[0])
         width = n + 1 if short else _window_width(n, beta, x)
         start = _window_start(n, x, width)
-        edge = start is not None and x > 1.0
-        if populations and not short:
-            # The sum window is a slice of the populations window.
-            wide = _window_width(n, beta, x, populations=True)
-            first = _window_start(n, x, wide)
-            offset = int((start or 0) - (first or 0))
-            start, width, keep = first, wide, slice(offset, offset + width)
-        floor, excess, total, kept = _window(n, beta, x, start, width, keep, edge)
+        floor, excess, total = _window(n, beta, x, start, width, start is not None and x > 1.0)
     else:
         beta = np.repeat(np.asarray(betas, dtype=np.float64), lams.size)
         order = None
@@ -233,30 +251,27 @@ def _ladder(n: int, betas, lams, populations: bool = False) -> _Ladder:
             beta, lam, keys = beta[order], lam[order], keys[order]
             bounds = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), lam.size]
             runs = [(int(keys[a]) // 2, bool(keys[a] % 2), a, b) for a, b in zip(bounds, bounds[1:])]
+        # A Python max is cheaper for a cycle's two fields, numpy's for a sweep's.
+        lam_max = max(lams.tolist()) if lams.size <= 2 else float(lams.max())
+        scale = max(betas) * (n * (1.0 + lam_max**2) / 2.0 + 1.0)
         parts = []
-        for width, edge, first, last in runs:
-            step = max(1, _BLOCK_ELEMENTS // width)
-            for i in range(first, last, step):
-                rows = slice(i, min(i + step, last))
-                start = _window_start(n, lam[rows], width)
-                parts.append(_window(n, beta[rows], lam[rows], start, width, keep, edge))
-        floor, excess, total, kept = (
-            c[0] if len(c) == 1 or c[0] is None else np.concatenate(c) for c in zip(*parts)
-        )
+        with _IN_RANGE if scale < _LOGIT_MAX else np.errstate(over="ignore"):
+            for width, edge, first, last in runs:
+                step = max(1, _BLOCK_ELEMENTS // width)
+                for i in range(first, last, step):
+                    rows = slice(i, min(i + step, last))
+                    start = _window_start(n, lam[rows], width)
+                    parts.append(_window(n, beta[rows], lam[rows], start, width, edge))
+        floor, excess, total = (c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*parts))
         if order is not None:
             # Back to the caller's row order.
             inverse = np.argsort(order)
             beta, floor, excess, total = beta[inverse], floor[inverse], excess[inverse], total[inverse]
-            kept = None if kept is None else kept[inverse]
     log_norm = np.log(total)
-    fields = (floor, excess, log_norm + beta * excess, -beta * floor + log_norm)
+    fields = (floor, excess, log_norm + beta * excess, -beta * floor + log_norm, total)
     if lam.size == 1:
-        fields = [[[value]] for value in fields]
-    else:
-        fields = np.array(fields).reshape((4,) + shape)
-    if not populations:
-        return _Ladder(*fields)
-    return _Ladder(*fields, populations=kept.reshape(shape + (n + 1,)))
+        return _Ladder(*([[value]] for value in fields))
+    return _Ladder(*np.array(fields).reshape((5,) + shape))
 
 
 class _Scratch(threading.local):
@@ -280,18 +295,15 @@ _SCRATCH = _Scratch()
 _SCRATCH_MIN = 1 << 12
 
 
-def _window(n: int, beta, lam, start, width: int, keep, edge: bool):
-    """Floor, excess, weight sum and populations of a chunk of rows.
+def _window(n: int, beta, lam, start, width: int, edge: bool):
+    """Floor, excess and weight sum of a chunk of rows.
 
     beta and lam hold one value per row, or are scalars for a lone row,
     and start holds each row's first level index, or is None when the
-    rows span the whole ladder.  The populations cover the whole ladder
-    in an owned array when keep is set, and are None otherwise.  The
-    sums run over the whole window, or over keep when it is a slice of
-    the window's levels.  edge says that each row's ground level, whose
-    weight is 1, is the last level of a sum window narrower than the
-    ladder.  That weight is then added after the others are summed, so
-    the sum near 1 is rounded once, and does not depend on how the
+    rows span the whole ladder.  edge says that each row's ground level,
+    whose weight is 1, is the last level of a sum window narrower than
+    the ladder.  That weight is then added after the others are summed,
+    so the sum near 1 is rounded once, and does not depend on how the
     pairwise sum of a wider or narrower window groups it.
     """
     rows = isinstance(lam, np.ndarray)
@@ -313,13 +325,8 @@ def _window(n: int, beta, lam, start, width: int, keep, edge: bool):
     energies = _level_energy(n, labels, column(lam), out=energies)
     low = energies.min(axis=-1)
     # top >= 0, so its maximum is finite unless some row overflowed, and
-    # the shift below would then form inf - inf.  The check reports that,
-    # so the overflow need not warn (Python floats, cheaper, never do).
-    if rows:
-        with np.errstate(over="ignore"):
-            top = -beta * low
-    else:
-        top = -beta * float(low)
+    # the shift below would then form inf - inf.  The check reports that.
+    top = -beta * (low if rows else float(low))
     if not math.isfinite(top.max() if rows else top):
         raise ValueError(
             f"temperature too low: beta={float(np.max(beta))!r} times the ground "
@@ -329,23 +336,33 @@ def _window(n: int, beta, lam, start, width: int, keep, edge: bool):
     weights -= column(top)
     np.maximum(weights, _EXP_CUT, out=weights)
     np.exp(weights, out=weights)
-    sums = weights[..., keep] if isinstance(keep, slice) else weights
-    total = sums[..., :-1].sum(axis=-1) + sums[..., -1] if edge else sums.sum(axis=-1)
+    total = weights[..., :-1].sum(axis=-1) + weights[..., -1] if edge else weights.sum(axis=-1)
     weights /= column(total)
     weights[np.less(weights, POPULATION_FLUSH, out=flushed)] = 0.0
     energies -= column(low)
     energies *= weights
-    excess = (energies[..., keep] if isinstance(keep, slice) else energies).sum(axis=-1)
-    populations = None
-    if keep and start is None:
-        # The next chunk overwrites the reused arrays.
-        populations = weights if flushed is None else weights.copy()
-    elif keep:
-        populations = np.zeros(weights.shape[:-1] + (n + 1,))
-        np.put_along_axis(
-            populations, column(start.astype(np.intp)) + np.arange(width), weights, axis=-1
-        )
-    return low, excess, total, populations
+    return low, energies.sum(axis=-1), total
+
+
+def _populations(n: int, lam: float, beta: float, low: float, total: float) -> np.ndarray:
+    """Populations of the row whose kernel pass gave E_min = low and sum w = total.
+
+    Repeats _window's per-level operations, on the same operands, over
+    the row's populations window, so every population is the float the
+    kernel's own pass over that window would give.
+    """
+    width = n + 1 if n + 1 < _WINDOW_MIN_LEVELS else _window_width(n, beta, lam, populations=True)
+    start = _window_start(n, lam, width)
+    first = 0 if start is None else int(start)
+    weights = -beta * _level_energy(n, np.arange(0.0, 2.0 * width, 2.0) + (2.0 * first - n), lam)
+    weights -= -beta * low
+    np.maximum(weights, _EXP_CUT, out=weights)
+    np.exp(weights, out=weights)
+    weights /= total
+    weights[weights < POPULATION_FLUSH] = 0.0
+    populations = np.zeros(n + 1)
+    populations[first : first + width] = weights
+    return populations
 
 
 def _row_state(
@@ -353,16 +370,13 @@ def _row_state(
 ) -> ThermalState:
     """ThermalState of row [i][j] of a block, with the offset applied."""
     beta = 0.0 if math.isinf(temperature) else 1.0 / temperature
-    floor = float(block.floor[i][j]) + energy_offset
+    low = float(block.floor[i][j])
+    floor = low + energy_offset
     excess = float(block.excess[i][j])
     log_z = float(block.log_z[i][j]) - beta * energy_offset
-    populations = None
-    if block.populations is not None:
-        # An owned copy, so a kept state does not pin the whole block.
-        populations = block.populations[i][j].copy()
-        populations.setflags(write=False)
     entropy = float(block.entropy[i][j])
-    return ThermalState(spec, temperature, log_z, populations, floor + excess, entropy, floor, excess)
+    source = None if block.total is None else (beta, low, float(block.total[i][j]))
+    return ThermalState(spec, temperature, log_z, floor + excess, entropy, floor, excess, source)
 
 
 def _check_beta(beta: float) -> None:
@@ -407,21 +421,18 @@ def thermal_state(spec: ModelSpec, temperature: float, energy_offset: float = 0.
     if temperature == 0.0:
         energies = energy_levels(spec)
         ground = _ground_mask(energies)
-        members = int(np.count_nonzero(ground))
-        populations = ground / members
-        populations.setflags(write=False)
         shifted_floor = float(energies.min()) + energy_offset
         return ThermalState(
             spec=spec,
             temperature=0.0,
             log_z=math.inf,
-            populations=populations,
             internal_energy=shifted_floor,
-            entropy=math.log(members),
+            entropy=math.log(int(np.count_nonzero(ground))),
             energy_floor=shifted_floor,
             excess_energy=0.0,
+            _source=ground,
         )
 
     beta = 0.0 if math.isinf(temperature) else 1.0 / temperature
-    block = _ladder(spec.n, (beta,), (spec.lam,), populations=True)
+    block = _ladder(spec.n, (beta,), (spec.lam,))
     return _row_state(spec, temperature, block, 0, 0, energy_offset)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmgcycle import CycleSpec, carnot_bound, log_partition_exact, run_cycle, thermal_state
+from lmgcycle import CycleSpec, carnot_bound, cycle, ensemble, log_partition_exact, run_cycle, thermal_state
 
 # High-precision reference for the two-spin cycle at the crossing,
 # T_H = 0.6, T_C = 0.3, lambda2 = 4 (60-digit offline evaluation).
@@ -182,6 +182,24 @@ class TestEnergyOffset:
                 corner_base.log_z - beta * 50.0, rel=1e-12
             )
             assert corner_shifted.entropy == corner_base.entropy
+
+
+@pytest.mark.parametrize("n", [256, 1_000, 20_000])
+def test_corners_are_one_kernel_block(monkeypatch, n):
+    # The kernel returns sums only, so the four corners of a cycle are
+    # one block call however long the ladder, with no call per row.
+    calls = []
+    ladder = ensemble._ladder
+
+    def counted(*args):
+        calls.append(args)
+        return ladder(*args)
+
+    for module in (cycle, ensemble):
+        monkeypatch.setattr(module, "_ladder", counted)
+    result = run_cycle(CycleSpec(n, 0.6, 0.3, 0.5, 2.0))
+    assert len(calls) == 1
+    assert result.corners[2].entropy == thermal_state(result.corners[2].spec, 0.3).entropy
 
 
 class TestAsymptoticBackend:

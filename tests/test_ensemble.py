@@ -10,14 +10,19 @@ from hypothesis import strategies as st
 
 from lmgcycle import (
     POPULATION_FLUSH,
+    CycleSpec,
     ModelSpec,
+    SweepSpec,
     allowed_twice_m,
     energy_levels,
     level_crossings,
     log_partition_exact,
+    run_cycle,
     spectrum,
+    sweep_lambda1,
     thermal_state,
 )
+from lmgcycle import ensemble
 from lmgcycle.core import _level_energy
 from lmgcycle.ensemble import _BLOCK_ELEMENTS, _WINDOW_MIN_LEVELS, _ladder, _window_start, _window_width
 
@@ -186,6 +191,20 @@ class TestThermalState:
             base.internal_energy + 123.0, rel=1e-12
         )
 
+    def test_states_compare_and_hash_by_their_values(self):
+        # Populations are derived from the compared fields, so they take
+        # no part in equality; a state read before and one never read
+        # still compare equal.
+        model = ModelSpec(9, 0.6)
+        for temperature in (0.0, 0.8, math.inf):
+            read, unread = thermal_state(model, temperature), thermal_state(model, temperature)
+            assert read.populations is not None
+            assert read == unread
+            assert hash(read) == hash(unread)
+            assert len({read, unread}) == 1
+        assert thermal_state(model, 0.8) != thermal_state(model, 0.9)
+        assert thermal_state(model, 0.8) != thermal_state(model, 0.8, energy_offset=1.0)
+
 
 @settings(max_examples=120)
 @given(
@@ -345,13 +364,30 @@ def _unfloored_row(n, beta, lam):
 )
 def test_exponent_cut_changes_no_float(n, lam, temperature):
     # Deep-frozen rows whose windows hold logits below the cut: the
-    # kernel's populations and excess equal the unfloored ones bit for bit.
+    # state's populations and excess equal the unfloored ones bit for bit.
     beta = 1.0 / temperature
     populations, excess, below_cut = _unfloored_row(n, beta, lam)
     assert below_cut > 0
-    block = _ladder(n, (beta,), (lam,), populations=True)
-    assert (block.populations[0][0] == populations).all()
-    assert block.excess[0][0] == excess
+    state = thermal_state(ModelSpec(n, lam), temperature)
+    assert (state.populations == populations).all()
+    assert state.excess_energy == excess
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(min_value=256, max_value=20_000),
+    st.floats(min_value=-3.0, max_value=4.0),
+    st.floats(min_value=0.0, max_value=5.0),
+)
+def test_populations_match_kernel_arithmetic(n, log_temperature, lam):
+    # Populations formed on first read repeat the kernel's arithmetic
+    # over the populations window, normalised by the sum window's weight
+    # sum: they equal the in-test copy of that arithmetic bit for bit.
+    temperature = 10.0**log_temperature
+    populations, excess, _ = _unfloored_row(n, 1.0 / temperature, lam)
+    state = thermal_state(ModelSpec(n, lam), temperature)
+    assert (state.populations == populations).all()
+    assert state.excess_energy == excess
 
 
 @pytest.mark.parametrize("n, lam, temperature", [(1_000, 2.0, 1e3), (256, 1.3, 1e3)])
@@ -367,23 +403,37 @@ def test_whole_ladder_past_critical_field_sums_weights_at_once(n, lam, temperatu
     assert state.excess_energy == excess
 
 
-def test_block_assembles_populations_only_on_request():
-    # Sweeps never ask for populations, so a block spanning several
-    # kernel chunks returns none.  On request, each chunk's populations
-    # outlive the reused arrays the next chunk overwrites, and equal the
-    # one-row states' populations bit for bit.
-    n = 100
-    lams = np.linspace(0.0, 3.0, 2 * (_BLOCK_ELEMENTS // (n + 1)) + 1)
-    assert _ladder(n, (0.5,), lams).populations is None
-    block = _ladder(n, (0.5,), lams, populations=True)
-    for j in (0, lams.size // 2, lams.size - 1):
-        state = thermal_state(ModelSpec(n, float(lams[j])), 2.0)
-        assert (block.populations[0][j] == state.populations).all()
+def test_populations_are_formed_once_on_first_read(monkeypatch):
+    # The kernel returns sums only: cycles, states and sweeps form no
+    # populations, a state forms its own on the first read and keeps
+    # them, and asymptotic corners have none to form.
+    calls = []
+    populations = ensemble._populations
+
+    def counted(*args):
+        calls.append(args)
+        return populations(*args)
+
+    monkeypatch.setattr(ensemble, "_populations", counted)
+    for n in (40, 1_000):
+        result = run_cycle(CycleSpec(n, 0.6, 0.3, 0.5, 2.0))
+        state = thermal_state(ModelSpec(n, 0.6), 0.8)
+        sweep_lambda1(SweepSpec(n, 0.6, 0.3, 2.0, tuple(np.linspace(0.0, 1.5, 7))))
+        assert calls == []
+        first = state.populations
+        assert state.populations is first
+        assert len(calls) == 1
+        assert (result.corners[1].populations == thermal_state(ModelSpec(n, 0.5), 0.6).populations).all()
+        assert len(calls) == 3
+        calls.clear()
+    result = run_cycle(CycleSpec(500, 0.3, 0.2, 0.5, 2.0, backend="asymptotic"))
+    assert all(corner.populations is None for corner in result.corners)
+    assert calls == []
 
 
 def test_block_holds_one_chunk_of_populations_at_a_time():
-    # Unrequested populations are dropped chunk by chunk: the block's
-    # whole populations would take 40 chunks.
+    # The kernel keeps per-level values for one chunk at a time: the
+    # block's whole weights would take 40 chunks.
     n = 100
     lams = np.linspace(0.0, 3.0, 40 * (_BLOCK_ELEMENTS // (n + 1)))
     tracemalloc.start()
