@@ -84,7 +84,7 @@ class ThermalState:
     excess_energy: float
     # What the populations are formed from: (beta, E_min, weight sum)
     # of a finite-temperature row, the ground mask at T = 0, or None.
-    _source: object = field(default=None, repr=False, compare=False)
+    _source: object = field(default=None, repr=False, compare=False, kw_only=True)
 
     @cached_property
     def populations(self) -> np.ndarray | None:
@@ -251,9 +251,9 @@ def _ladder(n: int, betas, lams) -> _Ladder:
             beta, lam, keys = beta[order], lam[order], keys[order]
             bounds = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), lam.size]
             runs = [(int(keys[a]) // 2, bool(keys[a] % 2), a, b) for a, b in zip(bounds, bounds[1:])]
-        # A Python max is cheaper for a cycle's two fields, numpy's for a sweep's.
-        lam_max = max(lams.tolist()) if lams.size <= 2 else float(lams.max())
-        scale = max(betas) * (n * (1.0 + lam_max**2) / 2.0 + 1.0)
+        # A product, unlike **, gives inf rather than OverflowError.
+        lam_max = float(lams.max())
+        scale = max(betas) * (n * (1.0 + lam_max * lam_max) / 2.0 + 1.0)
         parts = []
         with _IN_RANGE if scale < _LOGIT_MAX else np.errstate(over="ignore"):
             for width, edge, first, last in runs:
@@ -271,7 +271,7 @@ def _ladder(n: int, betas, lams) -> _Ladder:
     fields = (floor, excess, log_norm + beta * excess, -beta * floor + log_norm, total)
     if lam.size == 1:
         return _Ladder(*([[value]] for value in fields))
-    return _Ladder(*np.array(fields).reshape((5,) + shape))
+    return _Ladder(*(value.reshape(shape) for value in fields))
 
 
 class _Scratch(threading.local):
@@ -376,7 +376,7 @@ def _row_state(
     log_z = float(block.log_z[i][j]) - beta * energy_offset
     entropy = float(block.entropy[i][j])
     source = None if block.total is None else (beta, low, float(block.total[i][j]))
-    return ThermalState(spec, temperature, log_z, floor + excess, entropy, floor, excess, source)
+    return ThermalState(spec, temperature, log_z, floor + excess, entropy, floor, excess, _source=source)
 
 
 def _check_beta(beta: float) -> None:

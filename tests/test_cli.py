@@ -89,6 +89,16 @@ class TestDomainErrors:
         assert out == ""
         assert err.startswith("error: temperature too low")
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("verb", [["cycle", "--lambda1", "0.5"], ["sweep", "--grid", "5"]])
+    def test_field_whose_energies_overflow(self, capsys, verb):
+        # Used to end in an OverflowError traceback.
+        args = ["--n", "3", "--t-hot", "1", "--t-cold", "0.5", "--lambda2", "1e200"]
+        code, out, err = run_main(verb + args, capsys)
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: temperature too low")
+
     def test_thermal_huge_finite_temperature(self, capsys):
         # Used to end in an OverflowError traceback.
         code, out, err = run_main(

@@ -205,6 +205,14 @@ class TestThermalState:
         assert thermal_state(model, 0.8) != thermal_state(model, 0.9)
         assert thermal_state(model, 0.8) != thermal_state(model, 0.8, energy_offset=1.0)
 
+    def test_population_source_is_keyword_only(self):
+        # Populations used to be the fourth field, so a positional call
+        # written for that layout must fail at once, not shift its values.
+        state = thermal_state(ModelSpec(9, 0.6), 0.8)
+        values = (state.spec, state.temperature, state.log_z, state.populations)
+        with pytest.raises(TypeError):
+            ensemble.ThermalState(*values, state.internal_energy, state.entropy, 0.0, 0.0)
+
 
 @settings(max_examples=120)
 @given(
