@@ -44,7 +44,8 @@ class ModelSpec:
     n : int
         Number of spins, at least 1.
     lam : float
-        Magnetic field strength, non-negative and finite.
+        Magnetic field strength, non-negative and finite, and small
+        enough that the level energies are finite.
     """
 
     n: int
@@ -57,6 +58,11 @@ class ModelSpec:
             raise ValueError(f"n must be at least 1, got {self.n}")
         if not (math.isfinite(self.lam) and self.lam >= 0.0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam!r}")
+        # _level_energy squares |2M - n lam| <= n (1 + lam); a product,
+        # unlike **, gives inf rather than OverflowError.
+        x = float(self.n) * (1.0 + float(self.lam))
+        if not math.isfinite(x * x):
+            raise ValueError(f"lam={self.lam!r} makes the level energies overflow for n={self.n}")
 
 
 @dataclass(frozen=True)

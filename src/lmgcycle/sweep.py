@@ -10,7 +10,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .cycle import BACKENDS, CycleSpec, _corner_block, _strokes, carnot_bound
+from .cycle import CycleSpec, _corner_block, _strokes, carnot_bound
 
 __all__ = [
     "PROMINENCE_FLOOR",
@@ -51,9 +51,8 @@ class SweepSpec:
             raise ValueError("lambda1_grid must not be empty")
         if any(map(operator.le, grid[1:], grid)):
             raise ValueError("lambda1_grid must be strictly ascending")
-        if self.backend not in BACKENDS:
-            raise ValueError(f"backend must be one of {BACKENDS}, got {self.backend!r}")
-        # Delegates the remaining checks, including grid containment.
+        # Delegates the remaining checks, including grid containment and
+        # the backend.
         CycleSpec(self.n, self.t_hot, self.t_cold, grid[0], self.lambda2, self.backend)
         CycleSpec(self.n, self.t_hot, self.t_cold, grid[-1], self.lambda2, self.backend)
 
@@ -149,9 +148,8 @@ def efficiency_derivative(spec: CycleSpec, lambda1: float, h: float = DERIVATIVE
         raise ValueError(
             f"stencil [{lambda1 - h}, {lambda1 + h}] leaves [0, {spec.lambda2}]"
         )
-    stencil = np.array([lambda1 + h, lambda1 - h])
-    upper, lower = _grid_strokes(spec, stencil, (lambda1,))[1].efficiency.tolist()
-    return (upper - lower) / (2.0 * h)
+    sweep = SweepSpec(spec.n, spec.t_hot, spec.t_cold, spec.lambda2, (lambda1,), spec.backend)
+    return derivative_records(sweep, h)[0][1]
 
 
 def derivative_records(spec: SweepSpec, h: float = DERIVATIVE_STEP) -> list[tuple[float, float]]:

@@ -89,15 +89,15 @@ class TestDomainErrors:
         assert out == ""
         assert err.startswith("error: temperature too low")
 
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("verb", [["cycle", "--lambda1", "0.5"], ["sweep", "--grid", "5"]])
     def test_field_whose_energies_overflow(self, capsys, verb):
-        # Used to end in an OverflowError traceback.
+        # Used to end in an OverflowError traceback, then in a numpy
+        # warning and an error blaming the temperature.
         args = ["--n", "3", "--t-hot", "1", "--t-cold", "0.5", "--lambda2", "1e200"]
         code, out, err = run_main(verb + args, capsys)
         assert code == 1
         assert out == ""
-        assert err.startswith("error: temperature too low")
+        assert err.startswith("error: lam=1e+200 makes the level energies overflow for n=3")
 
     def test_thermal_huge_finite_temperature(self, capsys):
         # Used to end in an OverflowError traceback.

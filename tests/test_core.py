@@ -1,6 +1,7 @@
 """Level structure: closed-form energies, crossings, dense-spectrum oracle."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -34,6 +35,31 @@ class TestModelSpec:
     def test_accepts_boundary_fields(self):
         ModelSpec(1, 0.0)
         ModelSpec(3, 1.0)
+
+    @pytest.mark.parametrize("n", [1, 3, 1_000_000])
+    def test_largest_accepted_field_has_finite_energies(self, n):
+        # Bisect the float bit patterns for the largest accepted field:
+        # its levels are finite (forming them warns nothing, since
+        # warnings fail the suite), and the next float up raises.
+        def accepted(bits):
+            try:
+                ModelSpec(n, float(np.int64(bits).view(np.float64)))
+            except ValueError:
+                return False
+            return True
+
+        low, high = (int(np.float64(x).view(np.int64)) for x in (1.0, np.finfo(np.float64).max))
+        assert accepted(low) and not accepted(high)
+        while high - low > 1:
+            middle = (low + high) // 2
+            low, high = (middle, high) if accepted(middle) else (low, middle)
+        lam = float(np.int64(low).view(np.float64))
+        assert np.isfinite(energy_levels(ModelSpec(n, lam))).all()
+        assert np.isfinite(eigenenergy(ModelSpec(n, lam), n))
+        above = float(np.nextafter(lam, math.inf))
+        message = re.escape(f"lam={above!r} makes the level energies overflow for n={n}")
+        with pytest.raises(ValueError, match=message):
+            ModelSpec(n, above)
 
 
 class TestEigenenergy:

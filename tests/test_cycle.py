@@ -61,12 +61,10 @@ class TestCycleSpec:
         with pytest.raises(ValueError, match="temperature too low"):
             run_cycle(CycleSpec(3, 1.0, t_cold, 0.5, 2.0))
 
-    # lam^2 overflows here, so the levels are inf - inf; numpy's invalid
-    # value warning from _level_energy is a known, separate defect.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_field_whose_energies_overflow_raises(self):
-        # Used to end in an OverflowError traceback from lam_max**2.
-        with pytest.raises(ValueError, match="temperature too low"):
+        # Used to end in an OverflowError traceback from lam_max**2, then
+        # in inf - inf levels and an error blaming the temperature.
+        with pytest.raises(ValueError, match="lam=1e\\+200 makes the level energies overflow for n=3"):
             run_cycle(CycleSpec(3, 1.0, 0.5, 0.5, 1e200))
 
     def test_huge_finite_baths_sum_whole_ladders(self):

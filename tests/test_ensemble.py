@@ -292,31 +292,15 @@ def test_window_matches_full_ladder(n, where):
         assert (populations[outside] == 0.0).all()
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    st.integers(min_value=256, max_value=20_000),
-    st.floats(min_value=math.log(1e-3), max_value=math.log(1e4)),
-    st.data(),
-)
-def test_sum_window_drops_what_its_sums_cannot_resolve(n, log_temperature, data):
-    # Levels outside a row's sum window carry less than 2^-60 of the
-    # kept sum w - 1 and of the kept excess sum (E - E_min) w, summed
-    # exactly over the whole ladder.  Frozen rows keep the populations
-    # window instead.
-    lam = data.draw(
-        st.one_of(
-            st.floats(min_value=0.0, max_value=5.0),
-            st.sampled_from([1.0 - 1e-9, 1.0 + 1e-9]),
-            st.integers(min_value=0, max_value=(n - 2) // 2).map(lambda k: (2 * k + 1) / n),
-        )
-    )
-    beta = math.exp(-log_temperature)
+def _check_sum_window(n, beta, lam):
+    """Check what the row's sum window drops; True if the row is frozen.
+
+    Levels outside the window carry less than 2^-60 of the kept sum
+    w - 1 and of the kept excess sum (E - E_min) w, summed exactly over
+    the whole ladder.  Frozen rows keep every level whose population
+    reaches POPULATION_FLUSH instead.
+    """
     width = _window_width(n, beta, lam)
-    flush = math.log(1.0 / POPULATION_FLUSH)
-    u = 4.0 * beta / n if lam <= 1.0 else 2.0 * beta * (n * (lam - 1.0) + 1.0) / n
-    if u + math.log(n * (n + 1) * flush / (2.0 * beta)) + 60.0 * math.log(2.0) >= flush:
-        assert width == _window_width(n, beta, lam, populations=True)
-        return
     labels = allowed_twice_m(n).astype(np.float64)
     ground = int(energy_levels(ModelSpec(n, lam)).argmin())
     # Gaps from the gap form, which keeps their digits near the ground.
@@ -326,32 +310,63 @@ def test_sum_window_drops_what_its_sums_cannot_resolve(n, log_temperature, data)
     window = np.zeros(n + 1, dtype=bool)
     window[slice(None) if start is None else slice(int(start), int(start) + width)] = True
     assert window[ground]
+    flush = math.log(1.0 / POPULATION_FLUSH)
+    u = 4.0 * beta / n if lam <= 1.0 else 2.0 * beta * (n * (lam - 1.0) + 1.0) / n
+    if u + math.log(n * (n + 1) * flush / (2.0 * beta)) + 60.0 * math.log(2.0) >= flush:
+        assert (weights[~window] / math.fsum(weights) < POPULATION_FLUSH).all()
+        assert (thermal_state(ModelSpec(n, lam), 1.0 / beta).populations[~window] == 0.0).all()
+        return True
     kept = window.copy()
     kept[ground] = False
     for values in (weights, gaps * weights):
         assert math.fsum(values[~window]) < 2.0**-60 * math.fsum(values[kept])
+    return False
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(min_value=256, max_value=20_000),
+    st.floats(min_value=math.log(1e-3), max_value=math.log(1e4)),
+    st.data(),
+)
+def test_sum_window_drops_what_its_sums_cannot_resolve(n, log_temperature, data):
+    lam = data.draw(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=5.0),
+            st.sampled_from([1.0 - 1e-9, 1.0 + 1e-9]),
+            st.integers(min_value=0, max_value=(n - 2) // 2).map(lambda k: (2 * k + 1) / n),
+        )
+    )
+    _check_sum_window(n, math.exp(-log_temperature), lam)
+
+
+@pytest.mark.parametrize(
+    "n, lam, temperature",
+    [
+        (256, 3.0, 1e-3), (300, 1.5, 1e-3), (1_000, 4.0, 5e-3), (20_000, 2.0, 1e-3),
+        (300, 0.37, 1e-5), (300, 101 / 300, 1e-5),
+    ],
+)
+def test_frozen_window_drops_only_flushed_levels(n, lam, temperature):
+    # Frozen rows, which random draws rarely reach: below the critical
+    # field they need T of order 1e-5.
+    assert _check_sum_window(n, 1.0 / temperature, lam)
 
 
 def _unfloored_row(n, beta, lam):
     """Populations, excess and logits below the cut of one row.
 
-    The kernel's per-level arithmetic over the same windows, without the
+    The kernel's per-level arithmetic over the whole ladder, without the
     cut that raises logits far below the flush before np.exp: every
-    logit is exponentiated as it is.  The populations span the
-    populations window and are normalised by the weight sum over the sum
-    window, a slice of it, over which the excess is summed too.
+    logit is exponentiated as it is.  The populations are normalised by
+    the weight sum over the row's sum window, over which the excess is
+    summed too.
     """
-    def window(width):
-        if width > n:
-            return 0, n + 1
-        return int(np.clip(np.rint((n + n * lam) / 2.0) - width // 2, 0, n + 1 - width)), width
-
-    short = n + 1 < _WINDOW_MIN_LEVELS
-    start, width = window(n + 1 if short else _window_width(n, beta, lam, populations=True))
-    first, count = window(n + 1 if short else _window_width(n, beta, lam))
-    sums = slice(first - start, first - start + count)
-    energies = _level_energy(n, np.arange(0.0, 2.0 * width, 2.0) + (2.0 * start - n), lam)
-    low = energies.min()
+    count = n + 1 if n + 1 < _WINDOW_MIN_LEVELS else _window_width(n, beta, lam)
+    start = _window_start(n, lam, count)
+    sums = slice(0, n + 1) if start is None else slice(int(start), int(start) + count)
+    energies = _level_energy(n, np.arange(0.0, 2.0 * (n + 1), 2.0) - n, lam)
+    low = energies[sums].min()
     logits = -beta * energies - (-beta * low)
     with np.errstate(under="ignore"):
         weights = np.exp(logits)
@@ -360,19 +375,21 @@ def _unfloored_row(n, beta, lam):
     kept = weights[sums]
     weights /= kept[:-1].sum() + kept[-1] if count <= n and lam > 1.0 else kept.sum()
     weights[weights < POPULATION_FLUSH] = 0.0
-    populations = np.zeros(n + 1)
-    populations[start : start + width] = weights
     below_cut = int((logits < -(math.log(1.0 / POPULATION_FLUSH) + 1.0)).sum())
-    return populations, ((energies - low) * weights)[sums].sum(), below_cut
+    return weights, ((energies - low) * weights)[sums].sum(), below_cut
 
 
 @pytest.mark.parametrize(
     "n, lam, temperature",
-    [(10_000, 4.0, 80.0), (300, 3.0, 0.05), (200, 3.0, 0.05), (100, 0.3, 1e-3), (2_000, 0.2, 0.01)],
+    [
+        (10_000, 4.0, 80.0), (300, 3.0, 0.05), (200, 3.0, 0.05), (100, 0.3, 1e-3), (2_000, 0.2, 0.01),
+        (1_000_000, 0.5, 0.3), (1_000_000, 0.5, 80.0), (1_000_000, 4.0, 0.3), (1_000_000, 4.0, 80.0),
+    ],
 )
 def test_exponent_cut_changes_no_float(n, lam, temperature):
-    # Deep-frozen rows whose windows hold logits below the cut: the
-    # state's populations and excess equal the unfloored ones bit for bit.
+    # Rows whose ladders hold logits below the cut, deep-frozen ones and
+    # the largest large_n rows among them: the state's populations and
+    # excess equal the unfloored ones bit for bit.
     beta = 1.0 / temperature
     populations, excess, below_cut = _unfloored_row(n, beta, lam)
     assert below_cut > 0
@@ -389,8 +406,8 @@ def test_exponent_cut_changes_no_float(n, lam, temperature):
 )
 def test_populations_match_kernel_arithmetic(n, log_temperature, lam):
     # Populations formed on first read repeat the kernel's arithmetic
-    # over the populations window, normalised by the sum window's weight
-    # sum: they equal the in-test copy of that arithmetic bit for bit.
+    # over the whole ladder, normalised by the sum window's weight sum:
+    # they equal the in-test copy of that arithmetic bit for bit.
     temperature = 10.0**log_temperature
     populations, excess, _ = _unfloored_row(n, 1.0 / temperature, lam)
     state = thermal_state(ModelSpec(n, lam), temperature)
@@ -409,6 +426,16 @@ def test_whole_ladder_past_critical_field_sums_weights_at_once(n, lam, temperatu
     state = thermal_state(ModelSpec(n, lam), temperature)
     assert (state.populations == populations).all()
     assert state.excess_energy == excess
+
+
+def test_populations_read_where_far_logits_overflow():
+    # beta E at the far end of the ladder, shifted by the ground's,
+    # overflows at this temperature.  The whole-ladder read cuts that
+    # logit like any deep level and warns nothing.
+    state = thermal_state(ModelSpec(1_000, 2.0), 1.5e-305)
+    expected = np.zeros(1_001)
+    expected[-1] = 1.0
+    assert (state.populations == expected).all()
 
 
 def test_populations_are_formed_once_on_first_read(monkeypatch):

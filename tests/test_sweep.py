@@ -71,12 +71,10 @@ class TestSweepSpec:
             SweepSpec(2, 0.6, 0.3, 4.0, (0.5,), backend="nope")
 
 
-    # lam^2 overflows here, so the levels are inf - inf; numpy's invalid
-    # value warning from _level_energy is a known, separate defect.
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_field_whose_energies_overflow_raises(self):
-        # Used to end in an OverflowError traceback from lam_max**2.
-        with pytest.raises(ValueError, match="temperature too low"):
+        # Used to end in an OverflowError traceback from lam_max**2, then
+        # in inf - inf levels and an error blaming the temperature.
+        with pytest.raises(ValueError, match="lam=1e\\+200 makes the level energies overflow for n=3"):
             sweep_lambda1(SweepSpec(3, 1.0, 0.5, 1e200, (0.0, 0.5)))
 
 
