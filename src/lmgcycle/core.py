@@ -111,6 +111,9 @@ def _level_energy(n, twice_m, lam, out=None):
     The result is written to out when it is given, and to a new array
     (a numpy scalar for scalar arguments) otherwise.
     """
+    # The float has n's value, and numpy combines it with an array faster
+    # than an int.
+    n = float(n)
     d = np.subtract(twice_m, n * lam, out=out)
     d *= d
     d /= 2.0 * n

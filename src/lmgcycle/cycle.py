@@ -95,22 +95,20 @@ def carnot_bound(t_hot: float, t_cold: float) -> float:
     return 1.0 - t_cold / t_hot
 
 
-def _corner_block(n: int, t_hot: float, t_cold: float, lambda2: float, lambda1s, backend: str) -> _Ladder:
+def _corner_block(n: int, t_hot: float, t_cold: float, lams, backend: str) -> _Ladder:
     """All corners of the cycles sharing n, the baths and lambda2.
 
-    Row [0] is the hot bath and [1] the cold one.  Column 0 holds
-    lambda2 (corners A and D), formed once however many lambda1
-    follow, and columns 1.. hold corners B and C.  The asymptotic
-    backend evaluates each corner with one scalar integral_state call
-    and a zero floor.
+    Row [0] is the hot bath and [1] the cold one.  lams[0] is lambda2
+    (corners A and D), formed once however many lambda1 follow, and
+    lams[1:] hold corners B and C.  The asymptotic backend evaluates
+    each corner with one scalar integral_state call and a zero floor.
     """
     if backend == "exact":
-        lams = np.concatenate(([lambda2], lambda1s))
         return _ladder(n, (1.0 / t_hot, 1.0 / t_cold), lams)
-    models = [ModelSpec(n, lam) for lam in (lambda2, *map(float, lambda1s))]
+    models = [ModelSpec(n, lam) for lam in map(float, lams)]
     states = [[integral_state(model, t) for model in models] for t in (t_hot, t_cold)]
     log_z, energy, entropy = ([[state[k] for state in row] for row in states] for k in range(3))
-    return _Ladder([[0.0] * len(models)] * 2, energy, entropy, log_z)
+    return _Ladder([0.0] * len(models), energy, entropy, log_z)
 
 
 # Cycle energetics, as floats for one cycle or arrays over lambda1.
@@ -145,18 +143,23 @@ def run_cycle(spec: CycleSpec, energy_offset: float = 0.0) -> CycleResult:
     efficiency unchanged bit for bit.
     """
     _check_offset(energy_offset)
-    block = _corner_block(spec.n, spec.t_hot, spec.t_cold, spec.lambda2, (spec.lambda1,), spec.backend)
+    t_hot, t_cold = spec.t_hot, spec.t_cold
+    block = _corner_block(spec.n, t_hot, t_cold, (spec.lambda2, spec.lambda1), spec.backend)
+    # Python floats: one tolist per sum of the exact 2 x 2 block.
+    low, ((x_a, x_b), (x_d, x_c)), ((s_a, s_b), (s_d, s_c)), (z_h, z_c), total = (
+        map(np.ndarray.tolist, block) if spec.backend == "exact" else block
+    )
+    total_h, total_c = total or ((None, None), (None, None))
     model_2, model_1 = ModelSpec(spec.n, spec.lambda2), ModelSpec(spec.n, spec.lambda1)
+    beta_h, beta_c = 1.0 / t_hot, 1.0 / t_cold
     corners = (
-        _row_state(model_2, spec.t_hot, block, 0, 0, energy_offset),
-        _row_state(model_1, spec.t_hot, block, 0, 1, energy_offset),
-        _row_state(model_1, spec.t_cold, block, 1, 1, energy_offset),
-        _row_state(model_2, spec.t_cold, block, 1, 0, energy_offset),
+        _row_state(model_2, t_hot, beta_h, low[0], x_a, s_a, z_h[0], total_h[0], energy_offset),
+        _row_state(model_1, t_hot, beta_h, low[1], x_b, s_b, z_h[1], total_h[1], energy_offset),
+        _row_state(model_1, t_cold, beta_c, low[1], x_c, s_c, z_c[1], total_c[1], energy_offset),
+        _row_state(model_2, t_cold, beta_c, low[0], x_d, s_d, z_c[0], total_c[0], energy_offset),
     )
-    strokes = _strokes(
-        spec.t_hot, spec.t_cold, [c.entropy for c in corners], [c.excess_energy for c in corners]
-    )
+    strokes = _strokes(t_hot, t_cold, (s_a, s_b, s_c, s_d), (x_a, x_b, x_c, x_d))
     return CycleResult(
-        spec, corners, *strokes[:7], eta_carnot=carnot_bound(spec.t_hot, spec.t_cold),
+        spec, corners, *strokes[:7], eta_carnot=carnot_bound(t_hot, t_cold),
         is_engine=strokes.is_engine,
     )

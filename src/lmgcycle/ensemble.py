@@ -14,8 +14,9 @@ from __future__ import annotations
 import math
 import threading
 from collections import namedtuple
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -32,8 +33,13 @@ _EXP_CUT = -(_FLUSH_LOG + 1.0)
 _RESOLVE_LOG = 60.0 * math.log(2.0)
 
 # Level values one kernel chunk may hold; a block with more rows is
-# evaluated in chunks of whole rows, so memory stays bounded.
+# evaluated in chunks of whole rows (of whole fields with every bath, for
+# whole ladders), so memory stays bounded.
 _BLOCK_ELEMENTS = 1 << 16
+
+# A lone row whose logit span beta n (1 + lam)^2 stays below this bound,
+# far below the largest float64, cannot overflow.
+_LOGIT_SAFE = 1e300
 
 # Ladders with fewer levels are always summed whole: a window would
 # save less than the numpy call overhead it costs.
@@ -94,8 +100,9 @@ class ThermalState:
         return populations
 
 
-# Corner results for every (beta, field) pair, indexed [beta][field]:
-# arrays for a block of rows, nested lists for a lone row and for
+# Corner results for every (beta, field) pair, indexed [beta][field],
+# except floor, which depends on the field alone and is indexed [field]:
+# arrays for a block of rows, lists of floats for a lone row and for
 # scalar corner evaluations.  log_z excludes any energy offset; total,
 # each row's weight sum, is None for corners formed without levels.
 _Ladder = namedtuple("_Ladder", "floor excess entropy log_z total", defaults=(None,))
@@ -204,68 +211,84 @@ def _ladder(n: int, betas, lams) -> _Ladder:
     subnormal and underflowing arguments.
 
     A block is evaluated under np.errstate(over="ignore"), entered once
-    per call.  A product beta E or its shift by top that overflows gives
-    a logit of -inf, which the cut raises to c like any other deep
-    level, and an overflowed ground shift raises ValueError (see
-    _window).
+    per call, and so is a lone row whose logit span can overflow.  A
+    product beta E or its shift by top that overflows gives a logit of
+    -inf, which the cut raises to c like any other deep level, and an
+    overflowed ground shift raises ValueError (see _window).
 
-    The windows depend on the row's own (n, beta, lam), rows sharing a
-    window width and ground position are evaluated together in chunks,
-    and every reduction runs along the contiguous level axis of its
-    row, so a row's floats do not depend on the rest of the block: a
-    sweep row equals the lone row of thermal_state or run_cycle bit for
-    bit.
+    Ladders under _WINDOW_MIN_LEVELS levels form each field's energies
+    once and broadcast every beta over them, in chunks of whole fields.
+    Longer ladders group rows sharing a window width and ground position
+    and evaluate them in chunks.  The windows depend on the row's own
+    (n, beta, lam), and every reduction runs along the contiguous level
+    axis of its row, so a row's floats do not depend on the rest of the
+    block: a sweep row equals the lone row of thermal_state or run_cycle
+    bit for bit.
     """
     lams = np.asarray(lams, dtype=np.float64)
     short = n + 1 < _WINDOW_MIN_LEVELS
-    shape = (len(betas), lams.size)
-    # One beta needs no copy of the fields; the copy cost each
-    # thermal_state call about 1 us.
-    lam = lams if len(betas) == 1 else np.concatenate([lams] * len(betas))
-    if lam.size == 1:
+    lone = lams.size == 1 and len(betas) == 1
+    if lone:
         # A lone row runs on 1-D arrays and scalars, which numpy
-        # evaluates faster, and forms its shift in Python floats, which
-        # never warn.  Sent through the block path, thermal_state took
-        # 36 in place of 18 us at N = 50 and 69 in place of 26 us at
-        # N = 5000.
-        beta, x = float(betas[0]), float(lam[0])
+        # evaluates faster, and forms its shift in Python floats.  Sent
+        # through the block path, thermal_state took 36 in place of 18 us
+        # at N = 50 and 69 in place of 26 us at N = 5000.
+        beta, x = float(betas[0]), float(lams[0])
         width = n + 1 if short else _window_width(n, beta, x)
         start = _window_start(n, x, width)
-        floor, excess, total = _window(n, beta, x, start, width, start is not None and x > 1.0)
+        # Every logit lies within beta (E_max - E_min) <= beta n (1 + x)^2
+        # of 0, so only rows past this bound can overflow, and only they
+        # pay for np.errstate (about 1 us).
+        span = beta * n * (1.0 + x) * (1.0 + x)
+        with np.errstate(over="ignore") if span > _LOGIT_SAFE else nullcontext():
+            floor, top, excess, total = _window(n, beta, x, start, width, start is not None and x > 1.0)
+    elif short:
+        # One column of baths, broadcast over chunks of whole fields.
+        beta = np.array(betas, dtype=np.float64)[:, None]
+        step = max(1, _BLOCK_ELEMENTS // (len(betas) * (n + 1)))
+        with np.errstate(over="ignore"):
+            if lams.size <= step:
+                floor, top, excess, total = _window(n, beta, lams, None, n + 1, False)
+            else:
+                chunks = range(0, lams.size, step)
+                # A generator: the chunks' sums are then freed once joined.
+                parts = (_window(n, beta, lams[i : i + step], None, n + 1, False) for i in chunks)
+                floor, top, excess, total = (np.concatenate(c, axis=-1) for c in zip(*parts))
     else:
+        shape = (len(betas), lams.size)
+        lam = lams if len(betas) == 1 else np.concatenate([lams] * len(betas))
         beta = np.repeat(np.asarray(betas, dtype=np.float64), lams.size)
-        order = None
-        if short:
-            runs = [(n + 1, False, 0, lam.size)]
-        else:
-            widths = np.array([_window_width(n, b, x) for b, x in zip(beta.tolist(), lam.tolist())])
-            # Rows sharing a width and a ground position are contiguous
-            # once sorted by this key; the odd keys are windowed rows past
-            # the critical field.  The widest come first, so the reused
-            # arrays grow once instead of once per width.
-            keys = 2 * widths + ((lam > 1.0) & (widths <= n))
-            order = np.argsort(-keys, kind="stable")
-            beta, lam, keys = beta[order], lam[order], keys[order]
-            bounds = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), lam.size]
-            runs = [(int(keys[a]) // 2, bool(keys[a] % 2), a, b) for a, b in zip(bounds, bounds[1:])]
+        widths = np.array([_window_width(n, b, x) for b, x in zip(beta.tolist(), lam.tolist())])
+        # Rows sharing a width and a ground position are contiguous
+        # once sorted by this key; the odd keys are windowed rows past
+        # the critical field.  The widest come first, so the reused
+        # arrays grow once instead of once per width.
+        keys = 2 * widths + ((lam > 1.0) & (widths <= n))
+        order = np.argsort(-keys, kind="stable")
+        beta, lam, keys = beta[order], lam[order], keys[order]
+        bounds = [0, *(np.flatnonzero(np.diff(keys)) + 1).tolist(), lam.size]
         parts = []
         with np.errstate(over="ignore"):
-            for width, edge, first, last in runs:
+            for first, last in zip(bounds, bounds[1:]):
+                width, edge = int(keys[first]) // 2, bool(keys[first] % 2)
                 step = max(1, _BLOCK_ELEMENTS // width)
                 for i in range(first, last, step):
                     rows = slice(i, min(i + step, last))
                     start = _window_start(n, lam[rows], width)
                     parts.append(_window(n, beta[rows], lam[rows], start, width, edge))
-        floor, excess, total = (c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*parts))
-        if order is not None:
-            # Back to the caller's row order.
-            inverse = np.argsort(order)
-            beta, floor, excess, total = beta[inverse], floor[inverse], excess[inverse], total[inverse]
+        # Back to the caller's row order, one row of fields per beta.  Every
+        # window holds its ground level, so a field's floor is the same
+        # float for every beta.
+        inverse = np.argsort(order)
+        joined = (c[0] if len(c) == 1 else np.concatenate(c) for c in zip(*parts))
+        floor, top, excess, total = (value[inverse].reshape(shape) for value in joined)
+        floor, beta = floor[0], beta[inverse].reshape(shape)
+    # top is -beta E_min, so log Z = top + ln(sum w).
     log_norm = np.log(total)
-    fields = (floor, excess, log_norm + beta * excess, -beta * floor + log_norm, total)
-    if lam.size == 1:
-        return _Ladder(*([[value]] for value in fields))
-    return _Ladder(*(value.reshape(shape) for value in fields))
+    sums = (excess, log_norm + beta * excess, top + log_norm, total)
+    if lone:
+        return _Ladder([float(floor)], *([[float(value)]] for value in sums))
+    return _Ladder(floor, *sums)
 
 
 class _Scratch(threading.local):
@@ -291,52 +314,79 @@ _SCRATCH_MIN = 1 << 12
 
 
 def _window(n: int, beta, lam, start, width: int, edge: bool):
-    """Floor, excess and weight sum of a chunk of rows.
+    """Floor, shift top = -beta E_min, excess and weight sum of a chunk of rows.
 
-    beta and lam hold one value per row, or are scalars for a lone row,
-    and start holds each row's first level index, or is None when the
-    rows span the whole ladder.  edge says that each row's ground level,
-    whose weight is 1, is the last level of a sum window narrower than
-    the ladder.  That weight is then added after the others are summed,
-    so the sum near 1 is rounded once, and does not depend on how the
-    pairwise sum of a wider or narrower window groups it.
+    beta and lam are scalars for a lone row.  Otherwise lam holds one
+    field per row, and beta either one value per row or, when the rows
+    span the whole ladder, a column of baths: each field's energies are
+    then formed once, every bath is broadcast over them, and the sums
+    have shape (baths, fields) and the floor (fields,).  start holds
+    each row's first level index, or is None when the rows span the
+    whole ladder.
+    edge says that each row's ground level, whose weight is 1, is the
+    last level of a sum window narrower than the ladder.  That weight is
+    then added after the others are summed, so the sum near 1 is rounded
+    once, and does not depend on how the pairwise sum of a wider or
+    narrower window groups it.
     """
     rows = isinstance(lam, np.ndarray)
-    column = (lambda v: v[:, None]) if rows else (lambda v: v)
-    size = lam.size * width if rows else width
-    if size < _SCRATCH_MIN:
-        steps, energies, weights, flushed = np.arange(0.0, 2.0 * width, 2.0), None, None, None
-    else:
+    column = (lambda v: v[..., None]) if rows else (lambda v: v)
+    # Level values per weight array: one row per (beta, field) pair.
+    size = width * (lam.size * (len(beta) if beta.ndim > 1 else 1) if rows else 1)
+    energies = weights = flushed = None
+    if size >= _SCRATCH_MIN:
         scratch = _SCRATCH
         if scratch.steps.size < width:
             scratch.steps = np.arange(0.0, 2.0 * width, 2.0)
         if scratch.arrays[0].size < size:
             scratch.arrays = (np.empty(size), np.empty(size), np.empty(size, dtype=bool))
-        steps = scratch.steps[:width]
-        energies, weights, flushed = (a[:size].reshape(-1, width) if rows else a[:size] for a in scratch.arrays)
-    # The 2M labels are whole numbers, so forming them in place gives
-    # the same floats as a separate label array.
-    labels = np.add(steps, float(-n) if start is None else column(2.0 * start - n), out=energies)
+        levels = (lam.size, width) if rows else (width,)
+        pairs = (len(beta), *levels) if rows and beta.ndim > 1 else levels
+        energies = scratch.arrays[0][: math.prod(levels)].reshape(levels)
+        weights, flushed = (a[:size].reshape(pairs) for a in scratch.arrays[1:])
+    if start is None and width < _WINDOW_MIN_LEVELS:
+        labels = _short_labels(n)
+    else:
+        steps = np.arange(0.0, 2.0 * width, 2.0) if energies is None else scratch.steps[:width]
+        # The 2M labels are whole numbers, so forming them in place gives
+        # the same floats as a separate label array.
+        labels = np.add(steps, float(-n) if start is None else column(2.0 * start - n), out=energies)
     energies = _level_energy(n, labels, column(lam), out=energies)
-    low = energies.min(axis=-1)
+    low = np.minimum.reduce(energies, -1)
     # top >= 0, so its maximum is finite unless some row overflowed, and
     # the shift below would then form inf - inf.  The check reports that.
-    top = -beta * (low if rows else float(low))
+    nbeta = -beta
+    top = nbeta * (low if rows else float(low))
     if not math.isfinite(top.max() if rows else top):
         raise ValueError(
             f"temperature too low: beta={float(np.max(beta))!r} times the ground "
             f"energy overflows for n={n}"
         )
-    weights = np.multiply(column(-beta), energies, out=weights)
+    weights = np.multiply(column(nbeta), energies, out=weights)
     weights -= column(top)
     np.maximum(weights, _EXP_CUT, out=weights)
     np.exp(weights, out=weights)
-    total = weights[..., :-1].sum(axis=-1) + weights[..., -1] if edge else weights.sum(axis=-1)
+    # np.add.reduce is ndarray.sum without its Python wrapper.
+    total = np.add.reduce(weights[..., :-1], -1) + weights[..., -1] if edge else np.add.reduce(weights, -1)
     weights /= column(total)
     weights[np.less(weights, POPULATION_FLUSH, out=flushed)] = 0.0
     energies -= column(low)
-    energies *= weights
-    return low, energies.sum(axis=-1), total
+    # A product's float does not depend on operand order, so the shifted
+    # energies broadcast over the baths give each row's own products.
+    weights *= energies
+    return low, top, np.add.reduce(weights, -1), total
+
+
+@cache
+def _short_labels(n: int) -> np.ndarray:
+    """2M labels of a ladder under _WINDOW_MIN_LEVELS levels, read-only.
+
+    Formed as _window forms a whole ladder's labels.  At most
+    _WINDOW_MIN_LEVELS - 1 ladders qualify, so the cache stays small.
+    """
+    labels = np.add(np.arange(0.0, 2.0 * (n + 1), 2.0), float(-n))
+    labels.setflags(write=False)
+    return labels
 
 
 def _populations(n: int, lam: float, beta: float, low: float, total: float) -> np.ndarray:
@@ -358,17 +408,20 @@ def _populations(n: int, lam: float, beta: float, low: float, total: float) -> n
 
 
 def _row_state(
-    spec: ModelSpec, temperature: float, block: _Ladder, i: int, j: int, energy_offset: float
+    spec: ModelSpec, temperature: float, beta: float, low: float, excess: float, entropy: float,
+    log_z: float, total: float | None, energy_offset: float,
 ) -> ThermalState:
-    """ThermalState of row [i][j] of a block, with the offset applied."""
-    beta = 0.0 if math.isinf(temperature) else 1.0 / temperature
-    low = float(block.floor[i][j])
+    """ThermalState of one row from its floats, with the offset applied.
+
+    beta is the row's inverse temperature, and low, excess, entropy,
+    log_z and total are its floor, excess, entropy, offset-free log Z and
+    weight sum (None for corners formed without levels).
+    """
     floor = low + energy_offset
-    excess = float(block.excess[i][j])
-    log_z = float(block.log_z[i][j]) - beta * energy_offset
-    entropy = float(block.entropy[i][j])
-    source = None if block.total is None else (beta, low, float(block.total[i][j]))
-    return ThermalState(spec, temperature, log_z, floor + excess, entropy, floor, excess, _source=source)
+    source = None if total is None else (beta, low, total)
+    return ThermalState(
+        spec, temperature, log_z - beta * energy_offset, floor + excess, entropy, floor, excess, _source=source
+    )
 
 
 def _check_beta(beta: float) -> None:
@@ -389,7 +442,7 @@ def log_partition_exact(spec: ModelSpec, beta: float, energy_offset: float = 0.0
     """
     _check_beta(beta)
     _check_offset(energy_offset)
-    return float(_ladder(spec.n, (beta,), (spec.lam,)).log_z[0][0]) - beta * energy_offset
+    return _ladder(spec.n, (beta,), (spec.lam,)).log_z[0][0] - beta * energy_offset
 
 
 def thermal_state(spec: ModelSpec, temperature: float, energy_offset: float = 0.0) -> ThermalState:
@@ -426,5 +479,5 @@ def thermal_state(spec: ModelSpec, temperature: float, energy_offset: float = 0.
         )
 
     beta = 0.0 if math.isinf(temperature) else 1.0 / temperature
-    block = _ladder(spec.n, (beta,), (spec.lam,))
-    return _row_state(spec, temperature, block, 0, 0, energy_offset)
+    (low,), ((excess,),), ((entropy,),), ((log_z,),), ((total,),) = _ladder(spec.n, (beta,), (spec.lam,))
+    return _row_state(spec, temperature, beta, low, excess, entropy, log_z, total, energy_offset)

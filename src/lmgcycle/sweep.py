@@ -90,7 +90,8 @@ def _grid_strokes(spec, lambda1s: np.ndarray, grid: tuple[float, ...]):
             CycleSpec(spec.n, spec.t_hot, spec.t_cold, value, spec.lambda2, spec.backend)
         except ValueError as err:
             raise ValueError(f"grid index {index} (lambda1={grid[index]!r}): {err}") from err
-    block = _corner_block(spec.n, spec.t_hot, spec.t_cold, spec.lambda2, lambda1s, spec.backend)
+    lams = np.concatenate(([spec.lambda2], lambda1s))
+    block = _corner_block(spec.n, spec.t_hot, spec.t_cold, lams, spec.backend)
     entropies, excesses = (
         (hot[0], hot[1:], cold[1:], cold[0])
         for hot, cold in (np.asarray(block.entropy), np.asarray(block.excess))

@@ -61,6 +61,14 @@ class TestCycleSpec:
         with pytest.raises(ValueError, match="temperature too low"):
             run_cycle(CycleSpec(3, 1.0, t_cold, 0.5, 2.0))
 
+    @pytest.mark.parametrize("t_hot", [1.0, 1e-307])
+    def test_overflow_names_the_coldest_beta(self, t_hot):
+        # Whole ladders: the cold bath's beta E_min overflows, and the hot
+        # one's too at t_hot = 1e-307.
+        with pytest.raises(ValueError) as err:
+            run_cycle(CycleSpec(40, t_hot, 1e-308, 0.5, 2.0))
+        assert str(err.value) == "temperature too low: beta=1e+308 times the ground energy overflows for n=40"
+
     def test_field_whose_energies_overflow_raises(self):
         # Used to end in an OverflowError traceback from lam_max**2, then
         # in inf - inf levels and an error blaming the temperature.
@@ -190,7 +198,7 @@ class TestEnergyOffset:
             assert corner_shifted.entropy == corner_base.entropy
 
 
-@pytest.mark.parametrize("n", [256, 1_000, 20_000])
+@pytest.mark.parametrize("n", [40, 254, 256, 1_000, 20_000])
 def test_corners_are_one_kernel_block(monkeypatch, n):
     # The kernel returns sums only, so the four corners of a cycle are
     # one block call however long the ladder, with no call per row.

@@ -1,7 +1,9 @@
 """Canonical states: partition sums, populations, entropy, offsets."""
 
 import math
+import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -468,13 +470,74 @@ def test_populations_are_formed_once_on_first_read(monkeypatch):
 
 def test_block_holds_one_chunk_of_populations_at_a_time():
     # The kernel keeps per-level values for one chunk at a time: the
-    # block's whole weights would take 40 chunks.
+    # block's whole weights would take 40 chunks per bath.  Two baths
+    # share each chunk's energies.
     n = 100
     lams = np.linspace(0.0, 3.0, 40 * (_BLOCK_ELEMENTS // (n + 1)))
-    tracemalloc.start()
-    try:
-        _ladder(n, (0.5,), lams)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * 8 * _BLOCK_ELEMENTS
+    for betas in ((0.5,), (0.5, 2.0)):
+        tracemalloc.start()
+        try:
+            _ladder(n, betas, lams)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 8 * _BLOCK_ELEMENTS
+
+
+@pytest.mark.parametrize("n, lam, temperature", [(3, 1e10, 2.5e-298), (300, 1e10, 2.5e-296)])
+def test_lone_row_whose_far_logits_overflow_warns_nothing(n, lam, temperature):
+    # beta E_min is finite, but the far levels' shifted logits overflow.
+    # The lone row takes the floats of the same row in a block (corner D
+    # of a cycle) and warns nothing, RuntimeWarning being an error here.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = thermal_state(ModelSpec(n, lam), temperature)
+        corner = run_cycle(CycleSpec(n, 1.0, temperature, 0.5, lam)).corners[3]
+        assert (state.populations == corner.populations).all()
+    assert state.log_z == corner.log_z
+    assert state.energy_floor == corner.energy_floor
+    assert state.excess_energy == corner.excess_energy
+    assert state.entropy == corner.entropy
+
+
+def _block_temperatures(n, lams, kinds):
+    """Bath temperatures: T = inf (beta = 0), ordinary ones, and ones just
+    above the temperature at which some field's beta E_min overflows."""
+    deepest = max(abs(float(energy_levels(ModelSpec(n, lam)).min())) for lam in lams)
+    edge = deepest / sys.float_info.max
+    return [math.inf if k is None else edge * (1.0 + k) if k < 1e-3 else k for k in kinds]
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=255),
+    st.data(),
+)
+def test_whole_ladder_block_rows_equal_lone_rows(n, data):
+    # Each row of a block, fields x baths, equals the lone row of
+    # thermal_state bit for bit, populations included.
+    crossings = level_crossings(n) or [0.5]
+    field = st.one_of(
+        st.floats(min_value=0.0, max_value=5.0),
+        st.sampled_from(crossings),
+        st.just(1.0),
+        st.floats(min_value=1.0, max_value=5.0, exclude_min=True),
+    )
+    lams = data.draw(st.lists(field, min_size=2, max_size=6))
+    # None is beta = 0; values below 1e-3 place the bath that far (relative)
+    # above the overflow edge, the rest are temperatures.
+    bath = st.one_of(
+        st.none(), st.floats(min_value=1e-12, max_value=1e-4), st.floats(min_value=1e-3, max_value=1e3)
+    )
+    temperatures = _block_temperatures(n, lams, data.draw(st.lists(bath, min_size=1, max_size=3)))
+    betas = [0.0 if math.isinf(t) else 1.0 / t for t in temperatures]
+    block = _ladder(n, betas, lams)
+    for i, temperature in enumerate(temperatures):
+        for j, lam in enumerate(lams):
+            lone = thermal_state(ModelSpec(n, lam), temperature)
+            assert float(block.floor[j]) == lone.energy_floor
+            assert float(block.excess[i][j]) == lone.excess_energy
+            assert float(block.entropy[i][j]) == lone.entropy
+            assert float(block.log_z[i][j]) == lone.log_z
+            low, total = float(block.floor[j]), float(block.total[i][j])
+            assert (ensemble._populations(n, lam, betas[i], low, total) == lone.populations).all()

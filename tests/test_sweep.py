@@ -77,6 +77,25 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="lam=1e\\+200 makes the level energies overflow for n=3"):
             sweep_lambda1(SweepSpec(3, 1.0, 0.5, 1e200, (0.0, 0.5)))
 
+    @pytest.mark.parametrize(
+        "n, t_hot, t_cold, points, beta",
+        [
+            (40, 1.0, 1e-308, 3, "1e+308"),
+            (40, 1e-307, 1e-308, 3, "1e+308"),
+            (254, 1.0, 1e-307, 300, "1.0000000000000001e+307"),
+            # The hot bath overflows too, in a grid of several chunks: the
+            # message still names the coldest beta, however long the grid.
+            (254, 1e-306, 1e-307, 300, "1.0000000000000001e+307"),
+        ],
+    )
+    def test_overflow_names_the_coldest_beta(self, n, t_hot, t_cold, points, beta):
+        spec = SweepSpec(n, t_hot, t_cold, 2.0, tuple(float(v) for v in np.linspace(0.0, 1.5, points)))
+        message = f"temperature too low: beta={beta} times the ground energy overflows for n={n}"
+        for evaluate in (sweep_lambda1, derivative_records):
+            with pytest.raises(ValueError) as err:
+                evaluate(spec)
+            assert str(err.value) == message
+
 
 class TestSweep:
     def test_singleton_grid_matches_single_cycle(self):
