@@ -389,6 +389,79 @@ def _short_labels(n: int) -> np.ndarray:
     return labels
 
 
+# Series coefficients (j + 1) / (j + 2)! of phi(r) / r^2 (see _close_differences).
+_PHI_SERIES = tuple((j + 1) / math.factorial(j + 2) for j in range(8))
+
+
+def _close_differences(n: int, beta_p, lam_p, beta_q, lam_q):
+    """Entropy and energy differences of Gibbs states p and q, formed from their log-ratio.
+
+    One row per entry of the equal-length arrays: p at (beta_p, lam_p)
+    and q at (beta_q, lam_q).  With E the levels of p's field and r_t =
+    ln(q_t / p_t), formed from the levels' logit shifts,
+
+        <E>_q - <E>_p = sum_t p_t (e^r_t - 1) (E_t - E_min),
+        S_q - S_p = beta_p (<E>_q - <E>_p) - D(q || p),
+
+    where D(q || p) = sum_t p_t phi(r_t) and phi(r) = 1 + (r - 1) e^r >= 0.
+    phi takes its series for |r| <= 1/64 (remainder below 2^-56 of it)
+    and r (e^r - 1) - (e^r - 1 - r) elsewhere.  At equal fields the
+    first is U_q - U_p.  For close states every term is small, so both
+    keep their relative precision, while the entropies and excess
+    energies of the two states round off the whole difference.
+
+    Returns (rise, rise_scale, gain, gain_scale): S_q - S_p, <E>_q - <E>_p,
+    and the sums of their terms' magnitudes, which bound their rounding.
+    A row is NaN where the states are far apart, that is, where the
+    shifted weight ratio sum_t p_t e^shift_t leaves [1/2, 3/2] or q holds
+    a population of at least POPULATION_FLUSH on a level where p's is
+    below it.
+    """
+    labels = _short_labels(n) if n + 1 < _WINDOW_MIN_LEVELS else np.arange(0.0, 2.0 * (n + 1), 2.0) - n
+    step = max(1, _BLOCK_ELEMENTS // (n + 1))
+    parts = []
+    with np.errstate(all="ignore"):
+        for i in range(0, len(beta_p), step):
+            rows = slice(i, i + step)
+            bp, bq = beta_p[rows, None], beta_q[rows, None]
+            raw_p = _level_energy(n, labels, lam_p[rows, None])
+            raw_q = _level_energy(n, labels, lam_q[rows, None])
+            e_p = raw_p - raw_p.min(-1, keepdims=True)
+            e_q = raw_q - raw_q.min(-1, keepdims=True)
+            p = np.exp(-bp * e_p)
+            p /= p.sum(-1, keepdims=True)
+            # beta_p E_p - beta_q E_q up to a constant, exact in structure
+            # at equal betas or at equal fields.
+            shifts = bp * (raw_p - raw_q) + (bp - bq) * e_q
+            # sum p e^shifts - 1, whose log1p normalises r.
+            norm = (p * np.expm1(shifts)).sum(-1, keepdims=True)
+            # Where p >= POPULATION_FLUSH, r <= ln(1/POPULATION_FLUSH) < 700;
+            # the clip keeps e^r finite on the levels where p is 0.
+            r = np.minimum(shifts - np.log1p(norm), 700.0)
+            grown = np.expm1(r)
+            phi = r * grown
+            phi -= grown - r
+            small = np.abs(r) <= 0.015625
+            if small.any():
+                series = np.full_like(r, _PHI_SERIES[-1])
+                for c in _PHI_SERIES[-2::-1]:
+                    series *= r
+                    series += c
+                phi = np.where(small, series * (r * r), phi)
+            phi *= p
+            moved = p * grown * e_p
+            gain, gain_scale, divergence = moved.sum(-1), np.abs(moved).sum(-1), phi.sum(-1)
+            rise = bp[:, 0] * gain - divergence
+            rise_scale = bp[:, 0] * gain_scale + divergence
+            lost = np.abs(norm[:, 0]) > 0.5
+            if np.any(p < POPULATION_FLUSH):
+                q = np.exp(-bq * e_q)
+                q /= q.sum(-1, keepdims=True)
+                lost |= ((p < POPULATION_FLUSH) & (q >= POPULATION_FLUSH)).any(-1)
+            parts.append([np.where(lost, np.nan, v) for v in (rise, rise_scale, gain, gain_scale)])
+    return tuple(np.concatenate(v) for v in zip(*parts))
+
+
 def _populations(n: int, lam: float, beta: float, low: float, total: float) -> np.ndarray:
     """Populations of the row whose kernel pass gave E_min = low and sum w = total.
 

@@ -96,13 +96,15 @@ def _grid_strokes(spec, lambda1s: np.ndarray, grid: tuple[float, ...]):
         (hot[0], hot[1:], cold[1:], cold[0])
         for hot, cold in (np.asarray(block.entropy), np.asarray(block.excess))
     )
-    return entropies, _strokes(spec.t_hot, spec.t_cold, entropies, excesses)
+    levels = (spec.n, spec.lambda2, lambda1s) if spec.backend == "exact" else None
+    return entropies, _strokes(spec.t_hot, spec.t_cold, entropies, excesses, levels)
 
 
 # One sweep as columns, in SweepRecord field order.  Each field is a list
 # over the grid, except eta_carnot, q_da, s_a and s_d: they depend only
 # on corners A and D, which every row of a sweep shares, so each is a
-# single float.
+# single float.  q_da is a list where some row re-formed it from the
+# states' log-ratio (see cycle._refine).
 _SweepColumns = namedtuple(
     "_SweepColumns",
     "lambda1 efficiency eta_carnot work q_h q_ab q_bc q_cd q_da s_a s_b s_c s_d is_engine",
@@ -116,8 +118,8 @@ def _sweep_columns(spec: SweepSpec) -> _SweepColumns:
     return _SweepColumns(
         list(spec.lambda1_grid), st.efficiency.tolist(), carnot_bound(spec.t_hot, spec.t_cold),
         st.work.tolist(), st.q_h.tolist(), st.q_ab.tolist(), st.q_bc.tolist(),
-        st.q_cd.tolist(), float(st.q_da), float(s_a), s_b.tolist(), s_c.tolist(),
-        float(s_d), st.is_engine.tolist(),
+        st.q_cd.tolist(), st.q_da.tolist() if np.ndim(st.q_da) else float(st.q_da),
+        float(s_a), s_b.tolist(), s_c.tolist(), float(s_d), st.is_engine.tolist(),
     )
 
 

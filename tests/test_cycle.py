@@ -3,11 +3,15 @@
 import math
 from dataclasses import replace
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lmgcycle import CycleSpec, carnot_bound, cycle, ensemble, log_partition_exact, run_cycle, thermal_state
+from lmgcycle import (
+    CycleSpec, ModelSpec, SweepSpec, carnot_bound, cycle, energy_levels, ensemble, log_partition_exact,
+    run_cycle, sweep_lambda1, thermal_state,
+)
 
 # High-precision reference for the two-spin cycle at the crossing,
 # T_H = 0.6, T_C = 0.3, lambda2 = 4 (60-digit offline evaluation).
@@ -133,6 +137,61 @@ class TestDegenerateCycle:
         assert result.q_bc == -result.q_da
         assert result.efficiency == 0.0
         assert not result.is_engine
+
+
+def _reference_efficiency(spec):
+    """Efficiency at 80 digits over the program's float level energies."""
+    with mpmath.workdps(80):
+        def corner(t, lam):
+            levels = [mpmath.mpf(float(e)) for e in energy_levels(ModelSpec(spec.n, lam))]
+            low, beta = min(levels), 1 / mpmath.mpf(t)
+            weights = [mpmath.exp(-beta * (e - low)) for e in levels]
+            p = [w / sum(weights) for w in weights]
+            entropy = -sum(x * mpmath.log(x) for x in p if x > 0)
+            return entropy, sum(x * (e - low) for x, e in zip(p, levels))
+
+        (s_a, x_a), (s_b, x_b) = corner(spec.t_hot, spec.lambda2), corner(spec.t_hot, spec.lambda1)
+        (s_c, x_c), (s_d, x_d) = corner(spec.t_cold, spec.lambda1), corner(spec.t_cold, spec.lambda2)
+        q_h = spec.t_hot * (s_b - s_a) + x_a - x_d
+        work = q_h + spec.t_cold * (s_d - s_c) + x_c - x_b
+        return float(work / q_h)
+
+
+class TestCloseCorners:
+    # Nearly uniform (n = 1 at tiny fields) and nearly degenerate (a split
+    # ground pair under a frozen excited pair) corners, whose entropies
+    # and excess energies round off the heats between them.
+    CASES = [
+        CycleSpec(1, 1.0, 0.5, 0.0, 1e-12),
+        CycleSpec(1, 5.0, 2.5, 0.0, 2.0**-24),
+        CycleSpec(1, 50.0, 47.5, 0.69e-12, 1e-12),
+        CycleSpec(3, 0.02, 0.019, 0.0, 1e-16),
+        CycleSpec(3, 0.02, 0.019, 0.692574163512094e-12, 1e-12),
+    ]
+
+    @pytest.mark.parametrize("spec", CASES)
+    def test_efficiency_matches_high_precision(self, spec):
+        result = run_cycle(spec)
+        assert result.is_engine
+        assert result.efficiency <= result.eta_carnot
+        assert result.efficiency == pytest.approx(_reference_efficiency(spec), rel=1e-7)
+
+    def test_two_level_small_field_limit(self):
+        # At T_C = T_H / 2 the two-level efficiency tends to 1/3 as the
+        # gap closes; every corner entropy rounds to ln 2 here.
+        result = run_cycle(CycleSpec(1, 1.0, 0.5, 0.0, 1e-12))
+        assert {corner.entropy for corner in result.corners} == {math.log(2.0)}
+        assert result.efficiency == pytest.approx(1.0 / 3.0, rel=1e-9)
+
+    @pytest.mark.parametrize("spec", CASES)
+    def test_sweep_rows_equal_cycles(self, spec):
+        grid = (spec.lambda1, (spec.lambda1 + spec.lambda2) / 2.0, spec.lambda2)
+        rows = sweep_lambda1(SweepSpec(spec.n, spec.t_hot, spec.t_cold, spec.lambda2, grid))
+        for lambda1, row in zip(grid, rows):
+            single = run_cycle(replace(spec, lambda1=lambda1))
+            heats = (single.q_ab, single.q_bc, single.q_cd, single.q_da)
+            assert (row.q_ab, row.q_bc, row.q_cd, row.q_da) == heats
+            assert (row.work, row.efficiency) == (single.work, single.efficiency)
 
 
 class TestFirstLaw:

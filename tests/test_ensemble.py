@@ -5,6 +5,7 @@ import sys
 import tracemalloc
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -541,3 +542,56 @@ def test_whole_ladder_block_rows_equal_lone_rows(n, data):
             assert float(block.log_z[i][j]) == lone.log_z
             low, total = float(block.floor[j]), float(block.total[i][j])
             assert (ensemble._populations(n, lam, betas[i], low, total) == lone.populations).all()
+
+
+def _mp_state(n, beta, lam):
+    """(S, <E - E_min>) at 80 digits over the float levels of (n, lam)."""
+    levels = [mpmath.mpf(float(e)) for e in energy_levels(ModelSpec(n, lam))]
+    low = min(levels)
+    weights = [mpmath.exp(-mpmath.mpf(beta) * (e - low)) for e in levels]
+    p = [w / sum(weights) for w in weights]
+    return -sum(x * mpmath.log(x) for x in p if x > 0), sum(x * (e - low) for x, e in zip(p, levels))
+
+
+# (n, beta_p, lam_p, beta_q, lam_q): close isotherms, close fixed-field
+# pairs, and a pair further apart.
+CLOSE_PAIRS = [
+    (1, 0.2, 2.0**-24, 0.2, 0.0),
+    (1, 0.02, 1e-12, 1.0 / 47.5, 1e-12),
+    (3, 50.0, 1e-12, 50.0, 0.692574163512094e-12),
+    (3, 50.0 / 0.95, 1e-16, 50.0, 1e-16),
+    (74, 3.21775828, 0.28975034, 3.21775828, 0.28352064),
+    (10, 3.0, 0.5, 3.0, 0.4999999),
+    (5, 0.3, 1.0, 0.5, 0.9),
+]
+
+
+@pytest.mark.parametrize("n, beta_p, lam_p, beta_q, lam_q", CLOSE_PAIRS)
+def test_close_differences_match_high_precision(n, beta_p, lam_p, beta_q, lam_q):
+    # Each difference is exact to within its returned scale times a few ulps,
+    # far below the scale of the states' own entropies where they are close.
+    rows = (np.array([v]) for v in (beta_p, lam_p, beta_q, lam_q))
+    rise, rise_scale, gain, gain_scale = (float(v[0]) for v in ensemble._close_differences(n, *rows))
+    with mpmath.workdps(80):
+        (s_p, u_p), (s_q, u_q) = _mp_state(n, beta_p, lam_p), _mp_state(n, beta_q, lam_q)
+        if lam_p == lam_q:
+            assert abs(gain - float(u_q - u_p)) <= 1e-14 * gain_scale
+        assert abs(rise - float(s_q - s_p)) <= 1e-14 * rise_scale
+
+
+@pytest.mark.parametrize(
+    "n, beta, lam_p, lam_q",
+    [
+        # At T = 0.01 the population of 2M = -10 is e^-780, which
+        # underflows, at lam = 0.6 and about 7e-218 at lam = 0: p is 0
+        # where q is not.
+        (10, 100.0, 0.6, 0.0),
+        # The ground level moves from 2M = 18 or 20 to 0, so the shifted
+        # weight ratio is about e^-50.  The two entropies agree to 1e-6.
+        (38, 1.0 / 0.095, 0.5, 0.0),
+    ],
+)
+def test_close_differences_flag_states_far_apart(n, beta, lam_p, lam_q):
+    betas = np.array([beta])
+    sums = ensemble._close_differences(n, betas, np.array([lam_p]), betas, np.array([lam_q]))
+    assert np.isnan(sums).all()

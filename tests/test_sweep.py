@@ -195,6 +195,17 @@ class TestSweep:
         self._assert_rows_are_single_cycles(SweepSpec(n, 0.2, 0.1, 2.0, grid))
         self._assert_rows_are_single_cycles(SweepSpec(n, 0.2, 0.1, crossings[1], (crossings[1],)))
 
+    def test_close_and_far_columns_match_single_cycles(self):
+        # Just past a ground crossing at frozen temperatures, corners A and
+        # D are close.  Where lambda1 = lambda2, q_h is q_da alone, so that
+        # column re-forms q_da from the states' log-ratio (cycle._refine);
+        # the far columns keep the plain difference, as their lone cycles do.
+        for n, t_hot, t_cold, lambda2 in ((4, 0.02, 0.019, 0.25 + 1e-10), (2, 0.02, 0.0198, 0.5 + 1e-13)):
+            spec = SweepSpec(n, t_hot, t_cold, lambda2, (0.0, 0.15, lambda2))
+            records = sweep_lambda1(spec)
+            assert records[0].q_da == records[1].q_da != records[2].q_da
+            self._assert_rows_are_single_cycles(spec)
+
     def test_threads_match_serial_sweeps(self):
         # Large chunks reuse per-thread arrays; sweeps running in several
         # threads at once must still give the serial rows.
